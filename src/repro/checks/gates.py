@@ -11,8 +11,8 @@ single static-checks entry point with one output format:
   plus the example scripts in :data:`EXAMPLE_SCRIPTS`, so documentation
   cannot rot silently.
 
-``tools/check_module_size.py`` and ``tools/check_docs.py`` remain as
-thin shims over these functions.
+Both run through ``tools/run_checks.py`` (``--gates docs`` for the docs
+gate alone).
 """
 
 from __future__ import annotations

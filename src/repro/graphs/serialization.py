@@ -40,10 +40,12 @@ def dfg_from_dict(data: dict[str, object]) -> DFG:
         dfg.add_kernel(
             KernelSpec(str(item["kernel"]), int(item["data_size"])), kid=int(item["id"])
         )
-    for edge in data.get("dependencies", []):  # type: ignore[union-attr]
-        u, v = int(edge[0]), int(edge[1])
-        dfg.add_dependency(u, v)
-    dfg.validate()
+    # one bulk insertion: a single Kahn pass whatever order the edges
+    # are listed in (per-edge probes are quadratic on a reversed chain)
+    dfg.add_dependencies(
+        (int(edge[0]), int(edge[1]))
+        for edge in data.get("dependencies", [])  # type: ignore[union-attr]
+    )
     return dfg
 
 

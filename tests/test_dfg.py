@@ -1,6 +1,12 @@
 """Unit tests for the DFG container."""
 
+import subprocess
+import sys
+from pathlib import Path
+
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graphs.dfg import DFG, KernelSpec
 
@@ -166,3 +172,107 @@ class TestBulkDependencies:
         dfg = DFG.from_kernels([KernelSpec("k", 10) for _ in range(2)])
         with pytest.raises(ValueError, match="self-dependency"):
             dfg.add_dependencies([(1, 1)])
+
+
+@st.composite
+def edge_programs(draw):
+    """A kernel count plus a sequence of single-edge and batch insertions."""
+    n = draw(st.integers(1, 8))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ops = draw(
+        st.lists(
+            st.one_of(edge, st.lists(edge, max_size=5)),
+            max_size=25,
+        )
+    )
+    return n, ops
+
+
+class TestMatchesNetworkxOracle:
+    """The DFG against a networkx ``DiGraph`` fed the same insertions."""
+
+    @staticmethod
+    def assert_same(dfg: DFG, g: nx.DiGraph) -> None:
+        assert dfg.edges() == sorted(g.edges)
+        assert dfg.n_edges == g.number_of_edges()
+        assert dfg.entry_kernels() == sorted(v for v in g if g.in_degree(v) == 0)
+        assert dfg.exit_kernels() == sorted(v for v in g if g.out_degree(v) == 0)
+        for v in g:
+            assert dfg.predecessors(v) == sorted(g.predecessors(v))
+            assert dfg.successors(v) == sorted(g.successors(v))
+        assert dfg.topological_order() == list(nx.lexicographical_topological_sort(g))
+        assert sorted(dfg.as_networkx().edges) == sorted(g.edges)
+
+    @given(edge_programs())
+    @settings(max_examples=200, deadline=None)
+    def test_insertions_match_oracle(self, program):
+        n, ops = program
+        dfg = DFG.from_kernels([k() for _ in range(n)])
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        for op in ops:
+            batch = op if isinstance(op, list) else [op]
+            trial = g.copy()
+            trial.add_edges_from(batch)
+            ok = nx.is_directed_acyclic_graph(trial)  # a self-loop is a cycle
+            try:
+                if isinstance(op, list):
+                    dfg.add_dependencies(op)
+                else:
+                    dfg.add_dependency(*op)
+            except ValueError:
+                assert not ok
+            else:
+                assert ok
+                g = trial
+            self.assert_same(dfg, g)
+        dfg.validate()
+
+
+def test_reversed_chain_decodes_in_one_pass():
+    """A long chain listed tail-first decodes through one bulk check."""
+    from repro.graphs.serialization import dfg_from_dict
+
+    n = 20_000
+    data = {
+        "kernels": [{"id": i, "kernel": "k", "data_size": 1} for i in range(n)],
+        "dependencies": [[i - 1, i] for i in range(n - 1, 0, -1)],
+    }
+    dfg = dfg_from_dict(data)
+    assert dfg.n_edges == n - 1
+    assert dfg.topological_order() == list(range(n))
+
+
+def test_runtime_path_does_not_import_networkx():
+    """A simulation, a sweep job and a stream run never load networkx."""
+    script = """
+import sys
+import numpy as np
+from repro.core.simulator import Simulator
+from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
+from repro.experiments.sweep import PolicySpec, execute_payload, make_job
+from repro.graphs.generators import make_type1_dfg, make_type2_dfg
+from repro.graphs.streams import periodic_stream
+from repro.policies.registry import get_policy
+
+system, lookup = CPU_GPU_FPGA(transfer_rate_gbps=4.0), paper_lookup_table()
+sim = Simulator(system, lookup)
+sim.run(make_type2_dfg(20, rng=np.random.default_rng(0)), get_policy("apt", alpha=4.0))
+job = make_job(make_type1_dfg(10, rng=np.random.default_rng(1)),
+               PolicySpec.of("met"), system, lookup)
+execute_payload(job.runnable_payload())
+stream = periodic_stream(5, 1.0, lambda i, rng: make_type1_dfg(4, rng=rng),
+                         np.random.default_rng(2))
+sim.run_stream(stream, get_policy("apt", alpha=4.0))
+print("networkx" in sys.modules)
+"""
+    src_dir = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src_dir), "PATH": "/usr/bin:/bin"},
+        check=True,
+    )
+    assert out.stdout.strip() == "False", out.stderr
