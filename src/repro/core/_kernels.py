@@ -1,7 +1,8 @@
 """Optional compiled kernels for the array backend (``REPRO_JIT``).
 
-The array backend's three hottest inner functions — identified by the
-phase profiler (:mod:`repro.profiling`) — live here in two twin forms:
+The array backend's hottest inner function — the batched CSR readiness
+propagation, identified by the phase profiler (:mod:`repro.profiling`)
+— lives here in two twin forms:
 
 * a **pure-numpy fallback** (``<name>_py``), always available, and
 * a **jit source** (``_<name>_src``), a plain-Python loop nest written
@@ -9,8 +10,7 @@ phase profiler (:mod:`repro.profiling`) — live here in two twin forms:
   numba is importable.
 
 Both twins of a kernel implement the *same* deterministic algorithm
-with IEEE-identical arithmetic (no ``fastmath``, accumulation in the
-same operand order), so schedules are bit-for-bit equal whichever twin
+(no ``fastmath``), so schedules are bit-for-bit equal whichever twin
 runs — pinned by ``tests/test_jit_kernels.py`` (which differential-tests
 the twins directly, numba or not, since the jit source is plain Python)
 and end-to-end by the equivalence suite and the differential fuzzer.
@@ -139,214 +139,18 @@ def _csr_propagate_src(rp, succs):
     return out[:k]
 
 
-# ----------------------------------------------------------------------
-# apt_scan — APT's FCFS candidate scan (select_batch Phase B)
-# ----------------------------------------------------------------------
-def apt_scan_py(Cm: np.ndarray, bc: np.ndarray, idle_cats: np.ndarray, n_cat_slots: int):
-    """APT Phase B: FCFS scan over threshold-masked candidate costs.
-
-    ``Cm`` is the candidate × idle cost matrix with non-qualifying
-    entries at ``inf``; ``bc`` the candidates' p_min category (``-1``
-    when absent from the system, absorbed by the trailing sentinel
-    slot); ``idle_cats`` the idle processors' categories.  Returns
-    parallel sequences ``(cand_pos, idle_pos, alternative)``.
-    """
-    sel_i: list[int] = []
-    sel_j: list[int] = []
-    alts: list[bool] = []
-    n_cand = Cm.shape[0]
-    avail: dict[int, None] = dict.fromkeys(range(len(idle_cats)))
-    pos = 0
-    while pos < n_cand and avail:
-        avail_js = list(avail)
-        cat_avail = np.zeros(n_cat_slots, dtype=bool)
-        for j in avail_js:
-            cat_avail[idle_cats[j]] = True
-        sub = Cm[pos:, avail_js]
-        has = cat_avail[bc[pos:]] | (sub != np.inf).any(axis=1)
-        k = int(np.argmax(has))
-        if not has[k]:
-            break
-        i = pos + k
-        bci = bc[i]
-        p_min: int | None = None
-        for j in avail_js:
-            if idle_cats[j] == bci:
-                p_min = j
-                break
-        if p_min is not None:
-            del avail[p_min]
-            sel_i.append(i)
-            sel_j.append(p_min)
-            alts.append(False)
-        else:
-            # has[i] without a best-cat instance ⇒ some column
-            # qualifies; masked-out columns are inf and never win.
-            # Strict < keeps the first (declaration-order) minimum,
-            # exactly select()'s tie-break.
-            row = Cm[i]
-            best_alt = avail_js[0]
-            best_cost = row[best_alt]
-            for j in avail_js[1:]:
-                cost = row[j]
-                if cost < best_cost:
-                    best_alt, best_cost = j, cost
-            del avail[best_alt]
-            sel_i.append(i)
-            sel_j.append(best_alt)
-            alts.append(True)
-        pos = i + 1
-    return sel_i, sel_j, alts
-
-
-def _apt_scan_src(Cm, bc, idle_cats, n_cat_slots):
-    n_cand = Cm.shape[0]
-    n_idle = idle_cats.shape[0]
-    avail = np.ones(n_idle, dtype=np.bool_)
-    n_avail = n_idle
-    cat_count = np.zeros(n_cat_slots, dtype=np.int64)
-    for j in range(n_idle):
-        cat_count[idle_cats[j]] += 1
-    sel_i = np.empty(n_cand, dtype=np.int64)
-    sel_j = np.empty(n_cand, dtype=np.int64)
-    alts = np.empty(n_cand, dtype=np.bool_)
-    k = 0
-    pos = 0
-    inf = np.inf
-    while pos < n_cand and n_avail > 0:
-        found = -1
-        for i in range(pos, n_cand):
-            b = bc[i]
-            if b >= 0 and cat_count[b] > 0:
-                found = i
-                break
-            ok = False
-            for j in range(n_idle):
-                if avail[j] and Cm[i, j] != inf:
-                    ok = True
-                    break
-            if ok:
-                found = i
-                break
-        if found < 0:
-            break
-        i = found
-        b = bc[i]
-        p_min = -1
-        if b >= 0 and cat_count[b] > 0:
-            for j in range(n_idle):
-                if avail[j] and idle_cats[j] == b:
-                    p_min = j
-                    break
-        if p_min >= 0:
-            avail[p_min] = False
-            n_avail -= 1
-            cat_count[idle_cats[p_min]] -= 1
-            sel_i[k] = i
-            sel_j[k] = p_min
-            alts[k] = False
-        else:
-            best_alt = -1
-            best_cost = inf
-            for j in range(n_idle):
-                if avail[j]:
-                    if best_alt < 0:
-                        best_alt = j
-                        best_cost = Cm[i, j]
-                    elif Cm[i, j] < best_cost:
-                        best_alt = j
-                        best_cost = Cm[i, j]
-            avail[best_alt] = False
-            n_avail -= 1
-            cat_count[idle_cats[best_alt]] -= 1
-            sel_i[k] = i
-            sel_j[k] = best_alt
-            alts[k] = True
-        k += 1
-        pos = i + 1
-    return sel_i[:k], sel_j[:k], alts[:k]
-
-
-# ----------------------------------------------------------------------
-# fill_transfer_rows — batched inbound-transfer row materialization
-# ----------------------------------------------------------------------
-def fill_transfer_rows_py(out, rows, nbytes, srcs, offs, div, lat, mode_sum):
-    """Fill ``out[row, :]`` with inbound-transfer times for each row.
-
-    ``srcs[offs[i]:offs[i+1]]`` are row ``i``'s predecessor source
-    columns (unassigned predecessors pre-filtered by the caller);
-    ``div``/``lat`` the ``[P × P]`` rate-divisor / latency matrices
-    (``inf`` / ``0`` on the diagonal).  Terms for a predecessor resident
-    on the target column are zeroed, matching the scalar path's
-    same-device skip: ``x + 0.0 == x`` and ``max(x, 0.0) == x`` for the
-    non-negative transfer terms, so the fold is bit-identical to
-    :meth:`~repro.core.cost.CostModel.inbound_transfer`.
-    """
-    m = rows.shape[0]
-    for i in range(m):
-        lo, hi = offs[i], offs[i + 1]
-        row = rows[i]
-        if lo == hi:
-            out[row, :] = 0.0
-            continue
-        s = srcs[lo:hi]
-        M = nbytes[i] / div[s, :] + lat[s, :]
-        M[np.arange(hi - lo), s] = 0.0
-        if mode_sum:
-            # per-predecessor mode folds left-to-right; np.sum's pairwise
-            # reduction would round differently
-            acc = M[0]
-            for j in range(1, hi - lo):
-                acc = acc + M[j]
-            out[row, :] = acc
-        else:
-            out[row, :] = M.max(axis=0)
-
-
-def _fill_transfer_rows_src(out, rows, nbytes, srcs, offs, div, lat, mode_sum):
-    m = rows.shape[0]
-    n_proc = div.shape[0]
-    for i in range(m):
-        lo = offs[i]
-        hi = offs[i + 1]
-        row = rows[i]
-        if lo == hi:
-            for t in range(n_proc):
-                out[row, t] = 0.0
-        elif mode_sum:
-            for t in range(n_proc):
-                acc = 0.0
-                for j in range(lo, hi):
-                    s = srcs[j]
-                    if s != t:
-                        acc = acc + (nbytes[i] / div[s, t] + lat[s, t])
-                out[row, t] = acc
-        else:
-            for t in range(n_proc):
-                acc = 0.0
-                for j in range(lo, hi):
-                    s = srcs[j]
-                    if s != t:
-                        term = nbytes[i] / div[s, t] + lat[s, t]
-                        if term > acc:
-                            acc = term
-                out[row, t] = acc
-
-
 #: kernel name → (numpy fallback, jit source) twins.  The checks rule
 #: and ``tests/test_jit_kernels.py`` enforce this registry is complete
 #: and pairwise-consistent.
 KERNELS: dict[str, tuple[Callable, Callable]] = {
     "csr_propagate": (csr_propagate_py, _csr_propagate_src),
-    "apt_scan": (apt_scan_py, _apt_scan_src),
-    "fill_transfer_rows": (fill_transfer_rows_py, _fill_transfer_rows_src),
 }
 
 
 class KernelSet:
     """The resolved kernel namespace an engine binds at construction."""
 
-    __slots__ = ("jit", "csr_propagate", "apt_scan", "fill_transfer_rows")
+    __slots__ = ("jit", "csr_propagate")
 
     def __init__(self, jit: bool, table: dict[str, Callable]) -> None:
         self.jit = jit

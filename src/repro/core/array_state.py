@@ -4,7 +4,7 @@
 hot state on flat numpy struct-of-arrays records:
 
 * a **kernel table** — per-kernel execution times across the system's
-  processor categories, the p_min category and its time ``x`` — filled
+  processor categories and the p_min category — filled
   lazily the first time a kernel becomes ready and indexed by a compact
   row number, so whole-ready-set policy scoring is two fancy-indexing
   operations instead of thousands of memo-dict probes;
@@ -32,7 +32,7 @@ hot state on flat numpy struct-of-arrays records:
   the phases only reorder operations that cannot observe each other
   (see docs/architecture.md for the invariant-by-invariant argument);
 * an **optional compiled kernel layer** (:mod:`repro.core._kernels`):
-  the three hottest inner functions run numba-jitted when selected via
+  the CSR ready-propagation runs numba-jitted when selected via
   ``REPRO_JIT`` / ``Simulator(jit=...)`` and numba is importable, with
   a bit-identical pure-numpy fallback otherwise.
 
@@ -49,9 +49,9 @@ Fallback triggers (the per-kernel ``select`` path is used instead of
   (AG, Random, the Braun batch-mode trio, seeded MET; the plan
   dispatcher driving HEFT/PEFT/CPOP *is* batchable since PR 10);
 * the driver's class overrides ``select`` *below* the class providing
-  ``select_batch`` (e.g. APT-RT and the APT ablation variants subclass
-  APT) — detected structurally, so a forgotten override can never make
-  the two paths diverge silently.
+  ``select_batch`` (e.g. APT-RT subclasses APT) — detected
+  structurally, so a forgotten override can never make the two paths
+  diverge silently.
 
 Memory note: kernel-table rows are **recycled** — when
 :class:`~repro.core.dynamics.RetirementDynamics` retires a kernel, its
@@ -161,7 +161,6 @@ class ArrayReadyQueue(_ReadyQueue):
     def __init__(
         self, ensure_row, row_of: dict[int, int], items: "Iterable[int]" = ()
     ) -> None:
-        super().__init__(tuple(items))
         self._ensure_row = ensure_row
         self._row_of = row_of
         self._buf = np.empty(1024, dtype=np.intp)
@@ -169,9 +168,7 @@ class ArrayReadyQueue(_ReadyQueue):
         self._n = 0  # high-water mark of the buffer (live slots + holes)
         self._pos: dict[int, int] = {}  # kid -> buffer slot
         self._rows: np.ndarray | None = None
-        for kid in self._d:
-            ensure_row(kid)
-            self._append(kid)
+        super().__init__(tuple(items))
 
     def _append(self, kid: int) -> None:
         n = self._n
@@ -187,18 +184,16 @@ class ArrayReadyQueue(_ReadyQueue):
         self._pos[kid] = n
         self._n = n + 1
 
-    def add(self, kid: int) -> None:
-        if kid in self._d:
-            return  # dict re-add keeps position; the buffer must too
-        self._d[kid] = None
-        self._tuple = None
+    def add(self, kid: int) -> bool:
+        if not super().add(kid):
+            return False  # dict re-add keeps position; the buffer must too
         self._rows = None
         self._ensure_row(kid)
         self._append(kid)
+        return True
 
     def remove(self, kid: int) -> None:
-        del self._d[kid]
-        self._tuple = None
+        super().remove(kid)
         self._rows = None
         self._mask[self._pos.pop(kid)] = False
         if self._n > 64 and 2 * len(self._d) < self._n:
@@ -358,17 +353,22 @@ class BatchContext:
 
     * *ready space* — position ``i`` in :attr:`ready` (FCFS order);
     * *idle space* — position ``j`` in :attr:`idle_names` /
-      :attr:`idle_cats` (system declaration order, idle processors only).
+      :attr:`idle_cats` / :attr:`idle_cols` (system declaration order,
+      idle processors only).
 
     :meth:`exec_idle` is the ``[ready × idle]`` execution-time matrix
-    bridging the two.
+    bridging the two.  The per-kernel accessors (``system``, ``cost``,
+    ``dfg``, ``assignment_of``, :meth:`spec`, :meth:`predecessors`,
+    ``ready_queue``) mirror
+    :class:`~repro.policies.base.SchedulingContext`, so an incremental
+    policy index serves both engines through one code path.
     """
 
-    __slots__ = ("_e", "ready", "idle_names", "idle_cats", "_idle_cols")
+    __slots__ = ("_e", "_ready", "idle_names", "idle_cats", "idle_cols")
 
     def __init__(self, engine: "ArrayEngineCore") -> None:
         self._e = engine
-        self.ready: tuple[int, ...] = engine.ready.as_tuple()
+        self._ready: tuple[int, ...] | None = None
         cols: list[int] = []
         names: list[str] = []
         cats: list[int] = []
@@ -385,72 +385,35 @@ class BatchContext:
                 cols.append(j)
                 names.append(name)
                 cats.append(cat_of_proc[j])
-        self._idle_cols = cols
+        self.idle_cols: list[int] = cols
         self.idle_names: tuple[str, ...] = tuple(names)
         self.idle_cats: list[int] = cats
+
+    @property
+    def ready(self) -> tuple[int, ...]:
+        """The ready kernels in FCFS order (built on first read)."""
+        ready = self._ready
+        if ready is None:
+            ready = self._ready = self._e.ready.as_tuple()
+        return ready
+
+    @property
+    def ready_queue(self) -> ArrayReadyQueue:
+        """The engine's live ready queue (sequence numbers, insertions)."""
+        return self._e.ready
 
     # -- kernel-table slices (ready space) ------------------------------
     def _rows(self) -> np.ndarray:
         return self._e.ready.rows()
 
-    def exec_idle(self, sel: np.ndarray | None = None) -> np.ndarray:
-        """Execution times ``[len(ready) × len(idle)]`` (lookup-table, no noise).
-
-        ``sel`` (ready-space positions) restricts the rows — policies
-        that prefilter (e.g. APT via :meth:`exec_min_idle`) gather the
-        per-processor matrix only for surviving kernels.
-        """
-        e = self._e
-        rows = self._rows()
-        if sel is not None:
-            rows = rows[sel]
+    def exec_idle(self) -> np.ndarray:
+        """Execution times ``[len(ready) × len(idle)]`` (lookup-table, no noise)."""
         cats = np.asarray(self.idle_cats, dtype=np.intp)
-        return e._exec_ms[rows[:, None], cats[None, :]]
-
-    def exec_min_idle(self) -> np.ndarray:
-        """Cheapest idle execution time per ready kernel.
-
-        Equals ``exec_idle().min(axis=1)`` but gathers one column per
-        *distinct* idle category instead of one per idle processor —
-        the right prefilter shape when many instances share a category.
-        """
-        e = self._e
-        cats = np.asarray(sorted(set(self.idle_cats)), dtype=np.intp)
-        return e._exec_ms[self._rows()[:, None], cats[None, :]].min(axis=1)
-
-    def transfer_idle(self, sel: np.ndarray | None = None) -> np.ndarray:
-        """Inbound transfers ``[len(ready) × len(idle)]`` (frozen values).
-
-        ``sel`` restricts the rows like :meth:`exec_idle` — and also
-        limits the lazy fill to the selected kernels.
-        """
-        e = self._e
-        rows = self._rows()
-        if sel is not None:
-            rows = rows[sel]
-        e._fill_transfer_rows(rows)
-        cols = np.asarray(self._idle_cols, dtype=np.intp)
-        return e._transfer_ms[rows[:, None], cols[None, :]]
+        return self._e._exec_ms[self._rows()[:, None], cats[None, :]]
 
     def best_cat(self) -> np.ndarray:
         """p_min category index per ready kernel (``-1``: not in this system)."""
         return self._e._best_cat[self._rows()]
-
-    def best_x(self) -> np.ndarray:
-        """p_min execution time ``x`` per ready kernel."""
-        return self._e._best_x[self._rows()]
-
-    def idle_cat_mask(self) -> np.ndarray:
-        """Boolean mask over category indices: has an idle instance?
-
-        One trailing sentinel slot (always false) absorbs ``best_cat``'s
-        ``-1`` for kernels whose p_min category has no instance here.
-        """
-        e = self._e
-        mask = np.zeros(e._n_cats + 1, dtype=bool)
-        for c in self.idle_cats:
-            mask[c] = True
-        return mask
 
     def idle_by_category(self) -> dict[int, deque[str]]:
         """Idle processor names per category index, declaration order."""
@@ -459,42 +422,32 @@ class BatchContext:
             free.setdefault(c, deque()).append(name)
         return free
 
-    @property
-    def kernels(self):
-        """The engine's resolved kernel set (jit twins or numpy fallback,
-        :mod:`repro.core._kernels`) — policies call the hot inner
-        functions through this so the jit selection is engine-wide."""
-        return self._e._kern
-
     def is_ready(self, kid: int) -> bool:
         """Whether ``kid`` is still in the ready set (plan dispatch)."""
         return kid in self._e.ready
 
     # -- per-kernel helpers mirroring SchedulingContext -----------------
+    @property
+    def system(self) -> "SystemConfig":
+        return self._e.system
+
+    @property
+    def cost(self) -> "CostModel":
+        return self._e.cost
+
+    @property
+    def dfg(self):
+        return self._e.graph
+
+    @property
+    def assignment_of(self) -> dict[int, str]:
+        return self._e.assignment_of
+
     def spec(self, kid: int):
         return self._e.specs[kid]
 
-    def any_pred_assigned(self, kid: int) -> bool:
-        assignment_of = self._e.assignment_of
-        return any(p in assignment_of for p in self._e.preds_of[kid])
-
-    def transfer_time(self, kid: int, processor: str) -> float:
-        """Inbound transfer time — the exact
-        :meth:`~repro.policies.base.SchedulingContext.transfer_time`
-        semantics, including the completed-predecessors memo rule."""
-        e = self._e
-        memo = e.transfer_memo
-        cached = memo.get((kid, processor))
-        if cached is not None:
-            return cached
-        preds = e.preds_of[kid]
-        nbytes = e.specs[kid].data_size * e.cost.element_size
-        value = e.cost.inbound_transfer(
-            e.graph, kid, processor, e.assignment_of, preds, nbytes
-        )
-        if all(p in e.completed for p in preds):
-            memo[(kid, processor)] = value
-        return value
+    def predecessors(self, kid: int) -> list[int]:
+        return self._e.preds_of[kid]
 
 
 class ArrayEngineCore(EngineCore):
@@ -541,16 +494,7 @@ class ArrayEngineCore(EngineCore):
         cap = self._ROW_CAP0
         self._exec_ms = np.empty((cap, self._n_cats), dtype=np.float64)
         self._best_cat = np.empty(cap, dtype=np.intp)
-        self._best_x = np.empty(cap, dtype=np.float64)
-        # per-processor inbound-transfer table, filled on first batch
-        # access: a ready kernel's predecessors are all *completed* (that
-        # is what made it ready) and cannot be retired before it starts,
-        # so its inbound transfer to each processor is frozen — the same
-        # value every SchedulingContext.transfer_time query would return
-        self._transfer_ms = np.empty((cap, len(self.proc_names)), dtype=np.float64)
-        self._transfer_filled = np.zeros(cap, dtype=bool)
         self._row_of: dict[int, int] = {}
-        self._kid_of_row: list[int] = []
         self._n_rows = 0
         self._free_rows: list[int] = []  # retired rows awaiting reuse
         self._rows_released = 0
@@ -558,11 +502,6 @@ class ArrayEngineCore(EngineCore):
         # remaining_preds dict mirrors admission writes into it)
         self._rp = np.zeros(cap, dtype=np.int32)
         self.remaining_preds = _PredCounts(self)
-        # dense transfer pricing inputs for the vectorized row fill
-        # (None ⇒ per-pair scalar fallback)
-        self._transfers_enabled = bool(cost.transfers_enabled)
-        self._mats = system.transfer_matrices() if self._transfers_enabled else None
-        self._mode_sum = cost.transfer_mode == "per_predecessor"
         # phase-profiler state: counters are always on (plain ints);
         # wall-clock per phase only when a profiler is attached
         self.profiler = None
@@ -586,33 +525,26 @@ class ArrayEngineCore(EngineCore):
             return
         if self._free_rows:
             # recycle a retired kernel's row: every per-row field is
-            # (re)written below, and release already cleared the
-            # transfer-filled flag
+            # (re)written below
             row = self._free_rows.pop()
-            self._kid_of_row[row] = kid
         else:
             row = self._n_rows
-            if row >= len(self._best_x):
-                cap = 2 * len(self._best_x)
-                for attr in ("_exec_ms", "_best_cat", "_best_x", "_transfer_ms"):
+            if row >= len(self._best_cat):
+                cap = 2 * len(self._best_cat)
+                for attr in ("_exec_ms", "_best_cat"):
                     old = getattr(self, attr)
                     new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
                     new[:row] = old[:row]
                     setattr(self, attr, new)
-                filled = np.zeros(cap, dtype=bool)
-                filled[:row] = self._transfer_filled[:row]
-                self._transfer_filled = filled
             self._n_rows = row + 1
-            self._kid_of_row.append(kid)
         self._row_of[kid] = row
         spec = self.specs[kid]
         cost = self.cost
         exec_row = self._exec_ms[row]
         for c, pt in enumerate(self._ptypes):
             exec_row[c] = cost.exec_time(spec.kernel, spec.data_size, pt)
-        best_pt, x = cost.best_processor(spec.kernel, spec.data_size)
+        best_pt, _ = cost.best_processor(spec.kernel, spec.data_size)
         self._best_cat[row] = self._cat_idx.get(best_pt, -1)
-        self._best_x[row] = x
 
     def _grow_rp(self, kid: int) -> np.ndarray:
         cap = max(2 * self._rp.shape[0], kid + 1)
@@ -635,98 +567,8 @@ class ArrayEngineCore(EngineCore):
         row = self._row_of.pop(kid, None)
         if row is None:
             return
-        self._kid_of_row[row] = -1
-        self._transfer_filled[row] = False
         self._free_rows.append(row)
         self._rows_released += 1
-
-    def _fill_transfer_rows(self, rows: np.ndarray) -> None:
-        """Materialize inbound-transfer rows for the given (ready) rows.
-
-        Values are frozen while a kernel sits in the ready set (completed
-        predecessors, un-retirable before the kernel starts); an abort
-        invalidates the row because the interleaved start may have let a
-        predecessor retire — mirroring the object path, whose memo is
-        purged at kernel start.
-        """
-        todo = rows[~self._transfer_filled[rows]]
-        if not todo.size:
-            return
-        if not self._transfers_enabled:
-            self._transfer_ms[todo] = 0.0
-            self._transfer_filled[todo] = True
-            return
-        cost = self.cost
-        elem = cost.element_size
-        kid_of = self._kid_of_row
-        preds_of = self.preds_of
-        assignment_of = self.assignment_of
-        if self._mats is None:
-            # incomplete route table: per-(row, processor) scalar pricing
-            graph = self.graph
-            proc_names = self.proc_names
-            for row in todo.tolist():
-                kid = kid_of[row]
-                preds = preds_of[kid]
-                trow = self._transfer_ms[row]
-                if not preds:
-                    trow[:] = 0.0
-                else:
-                    nbytes = self.specs[kid].data_size * elem
-                    for j, name in enumerate(proc_names):
-                        trow[j] = cost.inbound_transfer(
-                            graph, kid, name, assignment_of, preds, nbytes
-                        )
-                self._transfer_filled[row] = True
-            return
-        # vectorized pricing: flatten the todo rows' predecessor source
-        # columns into one CSR batch and hand the arithmetic to the
-        # (possibly jitted) kernel — bit-identical to the scalar fold
-        proc_index = self.proc_index
-        specs = self.specs
-        srcs: list[int] = []
-        offs: list[int] = [0]
-        nb: list[float] = []
-        todo_list = todo.tolist()
-        for row in todo_list:
-            kid = kid_of[row]
-            for p in preds_of[kid]:
-                src = assignment_of.get(p)
-                if src is not None:  # unassigned preds contribute nothing
-                    srcs.append(proc_index[src])
-            offs.append(len(srcs))
-            nb.append(float(specs[kid].data_size * elem))
-        div, lat = self._mats
-        self._kern.fill_transfer_rows(
-            self._transfer_ms,
-            np.asarray(todo_list, dtype=np.int64),
-            np.asarray(nb, dtype=np.float64),
-            np.asarray(srcs, dtype=np.int64),
-            np.asarray(offs, dtype=np.int64),
-            div,
-            lat,
-            self._mode_sum,
-        )
-        self._transfer_filled[todo] = True
-
-    def _inbound_transfer_ms(self, kid: int, name: str) -> float:
-        # A filled row is frozen-valid through the kernel's start: its
-        # predecessors cannot retire (retirement waits for *this* kernel
-        # to start) and completed kernels never move, so the row holds
-        # exactly what the scalar query would answer now.  Aborts clear
-        # the flag (see abort_running).
-        row = self._row_of.get(kid)
-        if row is not None and self._transfer_filled[row]:
-            return float(self._transfer_ms[row, self.proc_index[name]])
-        return super()._inbound_transfer_ms(kid, name)
-
-    def abort_running(self, name: str) -> int | None:
-        kid = super().abort_running(name)
-        if kid is not None:
-            row = self._row_of.get(kid)
-            if row is not None:
-                self._transfer_filled[row] = False
-        return kid
 
     # ------------------------------------------------------------------
     # lazy views
@@ -774,6 +616,7 @@ class ArrayEngineCore(EngineCore):
             return
         self._n_batch_calls += 1
         assignments = driver.select_batch(BatchContext(self))
+        self.ready.added.clear()
         if assignments:
             self.apply_assignments(assignments)
         else:

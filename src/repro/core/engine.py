@@ -98,21 +98,39 @@ class _ReadyQueue:
     """Order-preserving ready set: O(1) membership, add and removal.
 
     Iteration order is insertion order — the FCFS discipline the list
-    implementation provided, without its O(n) ``remove``.
+    implementation provided, without its O(n) ``remove``.  Every
+    insertion is stamped with a rising sequence number, the FCFS key
+    incremental policy indexes sort on: a kernel that leaves and comes
+    back (abort, flush) gets a new number, just as it moves to the end
+    of the iteration order.  ``kid_at`` maps the live numbers to their
+    kernels; ``added`` lists the numbers stamped since the engine last
+    cleared it, which it does after every policy call.
     """
 
-    __slots__ = ("_d", "_tuple")
+    __slots__ = ("_d", "kid_at", "added", "_seq", "_tuple")
 
     def __init__(self, items: "list[int] | tuple[int, ...]" = ()) -> None:
-        self._d: dict[int, None] = dict.fromkeys(items)
+        self._d: dict[int, int] = {}  # kid -> sequence number
+        self.kid_at: dict[int, int] = {}  # sequence number -> kid
+        self.added: list[int] = []
+        self._seq = 0
         self._tuple: tuple[int, ...] | None = None
+        for kid in items:
+            self.add(kid)
 
-    def add(self, kid: int) -> None:
-        self._d[kid] = None
+    def add(self, kid: int) -> bool:
+        """Insert ``kid`` at the back; ``False`` if it was already ready."""
+        if kid in self._d:
+            return False
+        seq = self._seq = self._seq + 1
+        self._d[kid] = seq
+        self.kid_at[seq] = kid
+        self.added.append(seq)
         self._tuple = None
+        return True
 
     def remove(self, kid: int) -> None:
-        del self._d[kid]
+        del self.kid_at[self._d.pop(kid)]
         self._tuple = None
 
     def __contains__(self, kid: int) -> bool:
@@ -398,7 +416,8 @@ class EngineCore:
         # Live references throughout — nothing is copied per invocation.
         return SchedulingContext(
             time=self.now,
-            ready=self.ready.as_tuple(),
+            ready=None,
+            ready_queue=self.ready,
             dfg=self.graph,  # type: ignore[arg-type]
             system=self.system,
             views=self.views,
@@ -425,7 +444,9 @@ class EngineCore:
         now = self.now
         cost = self.cost
         ptype = self.system[name].ptype
-        transfer = self._inbound_transfer_ms(kid, name)
+        transfer = cost.inbound_transfer(
+            self.graph, kid, name, self.assignment_of, self.preds_of[kid]  # type: ignore[arg-type]
+        )
         exec_time = cost.exec_time(
             spec.kernel, spec.data_size, ptype
         ) * self.noise.get(kid, 1.0)
@@ -476,12 +497,6 @@ class EngineCore:
         # Seam for the array backend, which pushes bare records instead.
         self.events.push(
             Event(finish, EventKind.KERNEL_COMPLETE, payload=(kid, name, token))
-        )
-
-    def _inbound_transfer_ms(self, kid: int, name: str) -> float:
-        # Seam: the array backend serves this from its frozen transfer rows.
-        return self.cost.inbound_transfer(
-            self.graph, kid, name, self.assignment_of, self.preds_of[kid]  # type: ignore[arg-type]
         )
 
     def pred_count(self, kid: int) -> int:
@@ -621,6 +636,7 @@ class EngineCore:
                     assignments: list[Assignment] = []
                 else:
                     assignments = list(select(self.make_context()))
+                    ready.added.clear()
                     if not assignments:
                         self._last_empty = sig
             else:

@@ -21,11 +21,6 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.core.topology import Route, Topology, validate_rate
 
-#: sentinel for the lazily-built transfer-matrix cache (``None`` is a
-#: legitimate cached value: "route table incomplete, use the scalar path")
-_UNSET = object()
-
-
 class ProcessorType(str, Enum):
     """Category of a hardware platform.
 
@@ -168,7 +163,6 @@ class SystemConfig:
         # the flat hot path stays one dict hit and one division.
         self._rate_divisor: dict[tuple[str, str], float] = {}
         self._latency: dict[tuple[str, str], float] | None = None
-        self._transfer_matrices: object = _UNSET
         if topology is None:
             for a in self._processors:
                 for b in self._processors:
@@ -268,41 +262,6 @@ class SystemConfig:
         if self._latency is None:
             return t
         return t + self._latency[(src, dst)]
-
-    def transfer_matrices(self) -> "tuple[np.ndarray, np.ndarray] | None":
-        """Dense ``[P × P]`` (rate-divisor, latency) matrices, or ``None``.
-
-        Row/column order is processor declaration order.  The diagonal
-        is ``inf`` / ``0.0`` (same-device transfers are free — callers
-        zero those terms explicitly), and latency is all-zero when no
-        route charges any (``x + 0.0 == x``, so adding it is exact).
-        Returns ``None`` when some ordered pair has no route, in which
-        case vectorized callers must fall back to the scalar query
-        (which raises on such pairs).
-        """
-        if self._transfer_matrices is _UNSET:
-            import numpy as np
-
-            n = len(self._processors)
-            names = [p.name for p in self._processors]
-            div = np.full((n, n), np.inf)
-            lat = np.zeros((n, n))
-            complete = True
-            for i, a in enumerate(names):
-                for j, b in enumerate(names):
-                    if i == j:
-                        continue
-                    d = self._rate_divisor.get((a, b))
-                    if d is None:
-                        complete = False
-                        break
-                    div[i, j] = d
-                    if self._latency is not None:
-                        lat[i, j] = self._latency[(a, b)]
-                if not complete:
-                    break
-            self._transfer_matrices = (div, lat) if complete else None
-        return self._transfer_matrices
 
     # ------------------------------------------------------------------
     def describe(self) -> str:

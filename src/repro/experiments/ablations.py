@@ -26,7 +26,6 @@ from repro.experiments.sweep import PolicySpec
 from repro.experiments.workloads import DEFAULT_SEED, paper_suite
 from repro.graphs.dfg import DFG
 from repro.policies.apt import APT
-from repro.policies.base import Assignment, SchedulingContext
 from repro.policies.registry import available_policies, register_policy
 
 
@@ -39,15 +38,10 @@ class APTLongestFirst(APT):
     """
 
     name = "apt_longest_first"
-    # Reorders the ready set before delegating — APT's whole-ready-set
-    # batch path assumes FCFS order, so fall back to per-kernel select.
-    batchable = False
 
-    def select(self, ctx: SchedulingContext) -> list[Assignment]:
-        reordered = sorted(
-            ctx.ready, key=lambda kid: (-ctx.best_processor_type(kid)[1], kid)
-        )
-        return super().select(ctx.with_ready(reordered))
+    @staticmethod
+    def order_key(kid: int, x: float) -> tuple[float, int]:
+        return (-x, kid)
 
 
 if "apt_longest_first" not in available_policies():  # idempotent on re-import

@@ -125,6 +125,14 @@ class SchedulingContext:
     immutable per invocation.  A policy must consume its context inside
     ``select`` and never cache it across calls.
 
+    Engine contexts also carry the engine's live ready queue as
+    ``ready_queue`` (:class:`~repro.core.engine._ReadyQueue`: sequence
+    numbers plus the insertions since the last policy call), which
+    incremental policies index instead of rescanning ``ready``; ``ready``
+    is then built from it on first read, so a policy that never reads it
+    copies nothing.  Hand-built contexts pass ``ready`` and leave
+    ``ready_queue`` as ``None``.
+
     Construction accepts either a fully-configured ``cost``
     (:class:`~repro.core.cost.CostModel`) — the simulator's path — or the
     legacy ``lookup``/``element_size``/``transfer_mode`` pieces, from
@@ -133,7 +141,8 @@ class SchedulingContext:
 
     __slots__ = (
         "time",
-        "ready",
+        "_ready",
+        "ready_queue",
         "dfg",
         "system",
         "cost",
@@ -150,7 +159,7 @@ class SchedulingContext:
     def __init__(
         self,
         time: float,
-        ready: Sequence[int],
+        ready: Sequence[int] | None,
         dfg: "DFG",
         system: SystemConfig,
         lookup: LookupTable | None = None,
@@ -166,6 +175,7 @@ class SchedulingContext:
         specs_of: "Mapping[int, object] | None" = None,
         transfer_memo: "dict[tuple[int, str], float] | None" = None,
         preemption: PreemptionInfo | None = None,
+        ready_queue: Any = None,
     ) -> None:
         if cost is None:
             if lookup is None:
@@ -178,7 +188,10 @@ class SchedulingContext:
                 transfers_enabled=transfers_enabled,
             )
         self.time = time
-        self.ready = tuple(ready)
+        self.ready_queue = ready_queue
+        self._ready: tuple[int, ...] | None = (
+            None if ready is None else tuple(ready)
+        )
         self.dfg = dfg
         self.system = system
         self.cost = cost
@@ -190,6 +203,14 @@ class SchedulingContext:
         self._specs = specs_of
         self._transfer_memo = transfer_memo
         self.preemption = preemption
+
+    @property
+    def ready(self) -> tuple[int, ...]:
+        """The ready kernels in FCFS order."""
+        ready = self._ready
+        if ready is None:
+            ready = self._ready = self.ready_queue.as_tuple()
+        return ready
 
     # ------------------------------------------------------------------
     # cost-model passthroughs (back-compat attribute surface)
@@ -339,27 +360,6 @@ class SchedulingContext:
             return []
         return self.cost.transfer_flow_sources(
             preds, self.assignment_of, processor, self.data_bytes(kernel_id)
-        )
-
-    def with_ready(self, ready: Sequence[int]) -> "SchedulingContext":
-        """A sibling context exposing a reordered/filtered ready set.
-
-        Used by queue-discipline ablations; shares every other field.
-        """
-        return SchedulingContext(
-            time=self.time,
-            ready=ready,
-            dfg=self.dfg,
-            system=self.system,
-            views=self.views,
-            assignment_of=self.assignment_of,
-            completed=self.completed,
-            exec_history=self.exec_history,
-            cost=self.cost,
-            predecessors_of=self._preds,
-            specs_of=self._specs,
-            transfer_memo=self._transfer_memo,
-            preemption=self.preemption,
         )
 
 

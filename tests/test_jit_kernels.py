@@ -141,79 +141,6 @@ class TestCsrPropagateTwins:
         assert np.array_equal(rp_a, rp_b)
 
 
-class TestAptScanTwins:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_twins_agree(self, seed):
-        fallback, src = _twins("apt_scan")
-        rng = np.random.default_rng(seed)
-        n_cand = int(rng.integers(1, 12))
-        n_idle = int(rng.integers(1, 8))
-        n_cats = 4
-        Cm = rng.uniform(1.0, 100.0, size=(n_cand, n_idle))
-        Cm[rng.random(size=Cm.shape) < 0.4] = np.inf  # threshold mask
-        bc = rng.integers(-1, n_cats, size=n_cand).astype(np.int64)
-        idle_cats = rng.integers(0, n_cats, size=n_idle).astype(np.int64)
-        i_a, j_a, alt_a = fallback(Cm, bc, idle_cats, n_cats)
-        i_b, j_b, alt_b = src(Cm, bc, idle_cats, n_cats)
-        assert list(map(int, i_a)) == list(map(int, i_b))
-        assert list(map(int, j_a)) == list(map(int, j_b))
-        assert list(map(bool, alt_a)) == list(map(bool, alt_b))
-
-    def test_ties_keep_declaration_order(self):
-        fallback, src = _twins("apt_scan")
-        # two idle processors with equal cost: strict < must keep the
-        # first (declaration-order) column in both twins
-        Cm = np.array([[7.0, 7.0]])
-        bc = np.array([-1], dtype=np.int64)
-        idle_cats = np.array([1, 2], dtype=np.int64)
-        for fn in (fallback, src):
-            i, j, alt = fn(Cm, bc, idle_cats, 4)
-            assert (list(map(int, i)), list(map(int, j))) == ([0], [0])
-            assert list(map(bool, alt)) == [True]
-
-
-class TestFillTransferRowsTwins:
-    @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("mode_sum", [True, False])
-    def test_twins_agree(self, seed, mode_sum):
-        fallback, src = _twins("fill_transfer_rows")
-        rng = np.random.default_rng(seed)
-        n_proc = int(rng.integers(2, 6))
-        n_rows = int(rng.integers(1, 8))
-        div = rng.uniform(0.5, 8.0, size=(n_proc, n_proc))
-        np.fill_diagonal(div, np.inf)
-        lat = rng.uniform(0.0, 2.0, size=(n_proc, n_proc))
-        np.fill_diagonal(lat, 0.0)
-        preds_per_row = [int(rng.integers(0, 5)) for _ in range(n_rows)]
-        srcs = np.concatenate(
-            [rng.integers(0, n_proc, size=k) for k in preds_per_row]
-            or [np.empty(0, dtype=np.int64)]
-        ).astype(np.int64)
-        offs = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(preds_per_row, out=offs[1:])
-        rows = np.arange(n_rows, dtype=np.int64)
-        nbytes = rng.uniform(1e3, 1e7, size=n_rows)
-        out_a = np.full((n_rows, n_proc), -1.0)
-        out_b = np.full((n_rows, n_proc), -1.0)
-        fallback(out_a, rows, nbytes, srcs, offs, div, lat, mode_sum)
-        src(out_b, rows, nbytes, srcs, offs, div, lat, mode_sum)
-        # bit-for-bit: the twins must fold in the same operand order
-        assert np.array_equal(out_a, out_b)
-
-    def test_empty_predecessor_segment_zeroes_the_row(self):
-        fallback, src = _twins("fill_transfer_rows")
-        div = np.array([[np.inf, 2.0], [2.0, np.inf]])
-        lat = np.zeros((2, 2))
-        rows = np.array([0], dtype=np.int64)
-        offs = np.array([0, 0], dtype=np.int64)
-        srcs = np.empty(0, dtype=np.int64)
-        nbytes = np.array([1e6])
-        for fn, mode_sum in ((fallback, True), (src, True), (fallback, False), (src, False)):
-            out = np.full((1, 2), -1.0)
-            fn(out, rows, nbytes, srcs, offs, div, lat, mode_sum)
-            assert np.array_equal(out, np.zeros((1, 2)))
-
-
 # ----------------------------------------------------------------------
 # numba parity (runs only where numba is installed — the CI jit leg)
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.experiments.workloads import (
 )
 from repro.graphs.sources import EagerSource, GeneratorSource, PoissonProfile
 from repro.graphs.streams import ApplicationArrival, ApplicationStream
+from repro.policies.apt import APT
 from repro.policies.heft import HEFT
 from repro.policies.registry import get_policy
 from tests.test_simulator import dfg_of
@@ -198,6 +199,41 @@ class TestBoundedMemory:
         # (hundreds of rows), two-plus orders below the stream length
         assert prof["kernel_table_rows"] <= stats.peak_resident_kernels
         assert stats.peak_resident_kernels <= stats.n_kernels // 50
+
+    def test_200k_apt_stream_keeps_the_ready_index_bounded(self, lookup):
+        """APT's ready index over a 200k-kernel stream: no heap ever
+        holds more than twice the ready set's peak (its stale entries
+        are filtered out before they could outnumber the live ones), and
+        the engine empties the queue's insertion list after every
+        policy call."""
+
+        class WatchedAPT(APT):
+            def reset(self) -> None:
+                super().reset()
+                self.calls = self.peak_ready = self.peak_heap = self.last_seq = 0
+
+            def select_batch(self, batch):
+                queue = batch.ready_queue
+                # only insertions stamped after the previous call remain
+                assert not queue.added or queue.added[0] > self.last_seq
+                self.peak_ready = max(self.peak_ready, len(queue))
+                out = super().select_batch(batch)
+                index = self._index
+                self.peak_heap = max(
+                    self.peak_heap, *map(len, index.pmin), *map(len, index.alt)
+                )
+                if queue.added:
+                    self.last_seq = queue.added[-1]
+                self.calls += 1
+                return out
+
+        policy = WatchedAPT(alpha=4.0)
+        source = streaming_scale_source(200_000, seed=7)
+        sim = Simulator(scale_system(), lookup, backend="array")
+        out = sim.run_stream(source, policy, retain_schedule=False)
+        assert out.stream.n_kernels >= 200_000
+        assert policy.calls > 0
+        assert 0 < policy.peak_heap <= 2 * policy.peak_ready
 
 
 class TestScaleStreamSource:

@@ -2,17 +2,17 @@
 """Record an engine-backend benchmark entry in ``BENCH_engine.json``.
 
 ``BENCH_engine.json`` is the committed benchmark trajectory of the
-array-backend hot path: every entry pins the git revision it was
-measured at, the scenario, the wall-clock of both backends and the
-speedup.  The trajectory documents how the hot path evolved; CI's smoke
-benchmark (``benchmarks/test_bench_simulator_scale.py``) reads the last
-comparable entry for its scenario and fails when the measured speedup
-regresses more than 20 % below it.
+engine hot paths: every entry pins the git revision it was measured at,
+the scenario, the wall-clock of each engine and the speedups.  The
+trajectory documents how the hot paths evolved; CI's smoke benchmark
+(``benchmarks/test_bench_simulator_scale.py``) reads the last comparable
+entry for its scenario and fails when a measured speedup regresses more
+than 40 % below it.
 
 Usage::
 
     python tools/bench_record.py                  # smoke scenario (1.2k)
-    python tools/bench_record.py --kernels 100000 # the acceptance entry
+    python tools/bench_record.py --kernels 10000  # the saturated 10k entry
     python tools/bench_record.py --dry-run        # measure, don't append
     python tools/bench_record.py --scenario streaming_scale_1m \\
         --no-baseline                             # lazy 1M stream, array only
@@ -22,18 +22,27 @@ uncommitted changes, so an entry recorded *before* its commit is
 identifiable as such (the first three trajectory entries predate this
 and carry the seed revision).
 
-``--no-baseline`` skips the object-backend run — at 100k kernels the
-object baseline takes hours, so big entries record the array wall-clock
-(plus its profile counters) and leave the speedup to the smoke-scale
-trajectory.  Wall-clock numbers are machine-dependent; the *speedup*
-column is the portable quantity — both backends run the identical
-simulation on the identical machine, so their ratio tracks algorithmic
-regressions, not hardware.
+Both backends are measured against the unchanged pre-refactor loop,
+:class:`~repro.core.reference.ReferenceSimulator`, on the same scenario
+(its merged closed form).  The three engines run interleaved — one run
+of each per round — and each keeps its best round, so a slow spell on a
+shared machine hits all three alike.  ``speedup_vs_reference`` is the
+array backend's ratio, ``object_speedup_vs_reference`` the object
+backend's, and ``speedup_vs_object`` their quotient.
+
+``--no-baseline`` skips the object and reference runs — at 100k kernels
+they take hours, so big entries record the array wall-clock (plus its
+profile counters) and leave the speedups to the smaller entries.
+Wall-clock numbers are machine-dependent; the *speedup* columns are the
+portable quantity — every engine runs the identical simulation on the
+identical machine, so their ratios track algorithmic regressions, not
+hardware.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import subprocess
 import sys
@@ -91,60 +100,62 @@ def git_rev() -> str:
         return "unknown"
 
 
-def run_backend(
-    backend: str,
+def measure(
     n_kernels: int,
     repeats: int,
     jit: "str | bool | None" = None,
     mean_interarrival_ms: float | None = None,
-) -> float:
-    """Best-of-``repeats`` wall-clock (ms) of the scenario on ``backend``."""
-    best, _ = run_backend_profiled(
-        backend, n_kernels, repeats, jit=jit,
-        mean_interarrival_ms=mean_interarrival_ms,
-    )
-    return best
+    engines: "tuple[str, ...]" = ("reference", "array", "object"),
+) -> "tuple[dict[str, float], dict | None]":
+    """Best-of-``repeats`` wall-clock (ms) per engine, measured interleaved.
 
-
-def run_backend_profiled(
-    backend: str,
-    n_kernels: int,
-    repeats: int,
-    jit: "str | bool | None" = None,
-    mean_interarrival_ms: float | None = None,
-) -> "tuple[float, dict | None]":
-    """Like :func:`run_backend`, also returning the engine's profile
-    counters (``None`` on the object backend, which has no profiler)."""
+    Each round runs every engine in ``engines`` once, in order, so a
+    slow spell on a shared machine lands on all of them.  Returns the
+    best times keyed by engine and the best array run's profile counters.
+    """
+    from repro.core.reference import ReferenceSimulator
     from repro.core.simulator import Simulator
     from repro.data.paper_tables import paper_lookup_table
-    from repro.experiments.workloads import scale_system, streaming_scale_source
+    from repro.experiments.workloads import (
+        scale_system,
+        streaming_scale_source,
+        streaming_scale_workload,
+    )
     from repro.policies.registry import get_policy
 
-    system = scale_system()
-    lookup = paper_lookup_table()
-    if mean_interarrival_ms is None:
-        mean_interarrival_ms = SCENARIO_DEFAULTS["mean_interarrival_ms"]
-    # the lazy source replays streaming_scale_stream bit-for-bit but
-    # never holds the whole stream — a 1M-kernel run stays bounded.
-    source = streaming_scale_source(
-        n_kernels=n_kernels,
-        seed=SCENARIO_DEFAULTS["seed"],
-        mean_interarrival_ms=mean_interarrival_ms,
-    )
-    best = float("inf")
+    params = {
+        "n_kernels": n_kernels,
+        "seed": SCENARIO_DEFAULTS["seed"],
+        "mean_interarrival_ms": (
+            mean_interarrival_ms or SCENARIO_DEFAULTS["mean_interarrival_ms"]
+        ),
+    }
+    # the backends run the lazy source, which replays streaming_scale_stream
+    # bit-for-bit but never holds the whole stream (a 1M-kernel run stays
+    # bounded); the reference predates streaming and runs the merged form
+    source = streaming_scale_source(**params)
+    merged = streaming_scale_workload(**params) if "reference" in engines else None
+    system, lookup = scale_system(), paper_lookup_table()
+    best = {name: float("inf") for name in engines}
     profile: "dict | None" = None
     for _ in range(repeats):
-        sim = Simulator(system, lookup, backend=backend, jit=jit)
-        t0 = time.perf_counter()
-        sim.run_stream(
-            source,
-            get_policy(SCENARIO_DEFAULTS["policy"]),
-            retain_schedule=False,
-        )
-        wall = (time.perf_counter() - t0) * 1000.0
-        if wall < best:
-            best = wall
-            profile = sim.last_profile
+        for name in engines:
+            gc.collect()  # no run pays for the previous one's garbage
+            policy = get_policy(SCENARIO_DEFAULTS["policy"])
+            if name == "reference":
+                dfg, arrivals = merged  # type: ignore[misc]
+                t0 = time.perf_counter()
+                ReferenceSimulator(system, lookup).run(dfg, policy, arrivals=arrivals)
+            else:
+                sim = Simulator(
+                    system, lookup, backend=name, jit=jit if name == "array" else None
+                )
+                t0 = time.perf_counter()
+                sim.run_stream(source, policy, retain_schedule=False)
+            ms = (time.perf_counter() - t0) * 1000.0
+            if name == "array" and ms < best[name]:
+                profile = sim.last_profile
+            best[name] = min(best[name], ms)
     return best, profile
 
 
@@ -154,11 +165,14 @@ def load_entries() -> list[dict]:
     return json.loads(BENCH_FILE.read_text(encoding="utf-8"))["entries"]
 
 
-def last_entry_for(scenario: str, jit: "bool | None" = None) -> dict | None:
+def last_entry_for(
+    scenario: str, jit: "bool | None" = None, key: str = "speedup_vs_reference"
+) -> dict | None:
     """The most recent *comparable* committed entry for ``scenario``.
 
-    Comparable means it carries a measured ``speedup_vs_object``
-    (``--no-baseline`` entries document wall-clock only) and, when
+    Comparable means it carries the measured speedup ``key``
+    (``--no-baseline`` entries document wall-clock only; entries before
+    the reference runs carry ``speedup_vs_object`` only) and, when
     ``jit`` is given, was measured with the same jit state (entries
     predating the jit field count as jit-off).
     """
@@ -166,7 +180,7 @@ def last_entry_for(scenario: str, jit: "bool | None" = None) -> dict | None:
         e
         for e in load_entries()
         if e["scenario"] == scenario
-        and "speedup_vs_object" in e
+        and key in e
         and (jit is None or bool(e.get("jit", False)) == jit)
     ]
     return matching[-1] if matching else None
@@ -210,7 +224,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-baseline",
         action="store_true",
-        help="skip the object-backend run (big scenarios; no speedup column)",
+        help="skip the object and reference runs (big scenarios; no speedups)",
     )
     parser.add_argument(
         "--dry-run", action="store_true", help="measure and print, don't append"
@@ -225,9 +239,10 @@ def main(argv: list[str] | None = None) -> int:
         interarrival = float(params["mean_interarrival_ms"])
     name = scenario_name(n_kernels, interarrival)
     jit_active = resolve_jit(args.jit)
-    wall_array, profile = run_backend_profiled(
-        "array", n_kernels, args.repeats, jit=args.jit,
-        mean_interarrival_ms=interarrival,
+    engines = ("array",) if args.no_baseline else ("reference", "array", "object")
+    best, profile = measure(
+        n_kernels, args.repeats, jit=args.jit,
+        mean_interarrival_ms=interarrival, engines=engines,
     )
     entry = {
         "git_rev": git_rev(),
@@ -235,16 +250,18 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": name,
         "kernels": n_kernels,
         "jit": jit_active,
-        "backend_wall_ms": round(wall_array, 1),
+        "backend_wall_ms": round(best["array"], 1),
     }
     if args.no_baseline:
         entry["baseline"] = "none"
     else:
-        wall_object = run_backend(
-            "object", n_kernels, args.repeats, mean_interarrival_ms=interarrival
+        entry["baseline_wall_ms"] = round(best["object"], 1)
+        entry["reference_wall_ms"] = round(best["reference"], 1)
+        entry["speedup_vs_object"] = round(best["object"] / best["array"], 2)
+        entry["speedup_vs_reference"] = round(best["reference"] / best["array"], 2)
+        entry["object_speedup_vs_reference"] = round(
+            best["reference"] / best["object"], 2
         )
-        entry["baseline_wall_ms"] = round(wall_object, 1)
-        entry["speedup_vs_object"] = round(wall_object / wall_array, 2)
     if profile:
         entry["profile"] = {
             k: profile[k] for k in _PROFILE_KEYS if k in profile
