@@ -21,11 +21,11 @@ Both modes record wall-clock numbers, so the artifact goes to the
 full mode, ``simulator_scale_smoke.txt`` in smoke mode) — committed
 ``results/`` files carry deterministic model quantities only.
 
-``test_bench_array_backend`` gates both engine backends against the
-unchanged reference loop on the saturated APT stream: the three engines
-run interleaved, and each backend's speedup over the reference may not
-fall more than 40 % below the last committed ``BENCH_engine.json``
-entry for the scenario (smoke: 1 200 kernels; full: 10 000).
+``test_bench_engine_vs_reference`` gates the engine against the
+unchanged reference loop on the saturated APT stream: the two run
+interleaved, and the engine's speedup over the reference may not fall
+more than 40 % below the best committed ``BENCH_engine.json`` entry for
+the scenario (smoke: 1 200 kernels; full: 10 000).
 """
 
 from __future__ import annotations
@@ -111,71 +111,51 @@ def test_bench_simulator_scale(local_results_dir):
 
 
 #: full mode runs the saturated 10k scenario; smoke the CI-sized grid.
-BACKEND_N_KERNELS = 10_000 if FULL else 1_200
-#: Each backend's speedup over ReferenceSimulator (the unchanged
-#: pre-refactor loop, same scenario, measured interleaved with both
-#: backends) may not regress more than 40 % below the last committed
-#: BENCH_engine.json entry.  Speedup (not wall-ms) is compared so the
-#: gate is portable across machines — all engines run on the same box.
-#: The margin is wide because the ratio pairs a ~3 s run with a ~0.1 s
-#: one: on a 2-vCPU VM whose speed drifts, best-of-5 ratios of one tree
-#: spread over 22–28× (array) and 18.5–24.5× (object).
-BACKEND_REGRESSION_FRACTION = 0.60
-#: committed-entry key per measured backend
-BACKEND_SPEEDUP_KEYS = {
-    "array": "speedup_vs_reference",
-    "object": "object_speedup_vs_reference",
-}
+ENGINE_N_KERNELS = 10_000 if FULL else 1_200
+#: The engine's speedup over ReferenceSimulator (the unchanged
+#: pre-refactor loop, same scenario, measured interleaved) may not
+#: regress more than 40 % below the best committed BENCH_engine.json
+#: entry for the scenario — entries of either former backend included,
+#: so a new entry can only raise the floor.  Speedup (not wall-ms) is
+#: compared so the gate is portable across machines — both engines run
+#: on the same box.  The margin is wide because the ratio pairs a ~3 s
+#: run with a ~0.1 s one: on a 2-vCPU VM whose speed drifts, best-of-5
+#: ratios of one tree spread over 22–28×.
+ENGINE_REGRESSION_FRACTION = 0.60
 
 
-def test_bench_array_backend(local_results_dir):
-    from repro.core._kernels import resolve_jit
-
-    scenario = bench_record.scenario_name(BACKEND_N_KERNELS)
-    # gate against the newest entry measured with the same jit state;
-    # a jit leg with no jit entry yet falls back to the fallback-path
-    # trajectory (jit is never slower, so the floor stays conservative).
-    jit_active = resolve_jit(None)
-    committed = bench_record.last_entry_for(
-        scenario, jit=jit_active
-    ) or bench_record.last_entry_for(scenario)
-    best, _ = bench_record.measure(BACKEND_N_KERNELS, REPEATS)
-    speedups = {
-        backend: best["reference"] / best[backend] for backend in BACKEND_SPEEDUP_KEYS
-    }
+def test_bench_engine_vs_reference(local_results_dir):
+    scenario = bench_record.scenario_name(ENGINE_N_KERNELS)
+    committed = bench_record.comparable_entries(scenario)
+    best, _ = bench_record.measure(ENGINE_N_KERNELS, REPEATS)
+    speedup = best["reference"] / best["engine"]
+    anchor = max(committed, key=lambda e: e["speedup_vs_reference"], default=None)
 
     lines = [
-        "Engine-backend benchmark — both backends vs the reference loop",
-        f"scenario: {scenario}   jit: {'on' if jit_active else 'off'}",
+        "Engine benchmark — the engine vs the reference loop",
+        f"scenario: {scenario}",
         *(f"{name:<9}: {ms:>12.1f} ms" for name, ms in best.items()),
-        *(
-            f"{backend} speedup vs reference: {s:>6.2f}x"
-            for backend, s in speedups.items()
-        ),
+        f"speedup vs reference: {speedup:>6.2f}x",
     ]
-    if committed is not None:
+    if anchor is not None:
         lines.append(
-            f"committed trajectory ({committed['git_rev']}): "
-            + ", ".join(
-                f"{backend} {committed[key]:.2f}x"
-                for backend, key in BACKEND_SPEEDUP_KEYS.items()
-            )
+            f"best committed entry ({anchor['git_rev']}): "
+            f"{anchor['speedup_vs_reference']:.2f}x"
         )
     write_artifact(
         local_results_dir,
-        "engine_backend_full.txt" if FULL else "engine_backend_smoke.txt",
+        "engine_full.txt" if FULL else "engine_smoke.txt",
         "\n".join(lines),
     )
 
-    assert committed is not None, (
+    assert anchor is not None, (
         f"no committed BENCH_engine.json entry for {scenario}; run "
-        f"`python tools/bench_record.py --kernels {BACKEND_N_KERNELS}` and "
+        f"`python tools/bench_record.py --kernels {ENGINE_N_KERNELS}` and "
         "commit the result"
     )
-    for backend, key in BACKEND_SPEEDUP_KEYS.items():
-        floor = committed[key] * BACKEND_REGRESSION_FRACTION
-        assert speedups[backend] >= floor, (
-            f"{backend} backend speedup over the reference regressed: measured "
-            f"{speedups[backend]:.2f}x vs committed {committed[key]:.2f}x "
-            f"(entry {committed['git_rev']}; >40% below trajectory)"
-        )
+    floor = anchor["speedup_vs_reference"] * ENGINE_REGRESSION_FRACTION
+    assert speedup >= floor, (
+        f"engine speedup over the reference regressed: measured "
+        f"{speedup:.2f}x vs committed {anchor['speedup_vs_reference']:.2f}x "
+        f"(entry {anchor['git_rev']}; >40% below trajectory)"
+    )

@@ -1,7 +1,7 @@
-"""Project-specific static analysis: determinism & backend-parity lints.
+"""Project-specific static analysis: determinism lints.
 
 The reproduction's core guarantee — bit-for-bit identical schedules
-across the object engine, the array backend and ``ReferenceSimulator`` —
+across the engine and ``ReferenceSimulator`` —
 rests on conventions (seeded RNG plumbing, ordered iteration, exhaustive
 ``EventKind`` handling, the ``RuntimeDynamics`` hook protocol, the
 ``SWEEP_FORMAT_VERSION`` bump discipline) that ordinary linters cannot

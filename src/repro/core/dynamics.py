@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.engine import EngineCore, RuntimeDynamics, _ResidentGraph
+from repro.core.engine import EngineCore, RuntimeDynamics
 from repro.core.events import Event, EventKind
 from repro.core.metrics import (
     MetricsAccumulator,
@@ -104,10 +104,52 @@ class BatchAdmission(RuntimeDynamics):
         e = self.engine
         kid = ev.payload[0]
         e.not_arrived.discard(kid)
-        if e.pred_count(kid) == 0:
+        if e.remaining_preds[kid] == 0:
             e.ready_time[kid] = e.now
             e.ready.add(kid)
             e.state_version += 1
+
+
+class _ResidentGraph:
+    """Read-only DFG facade over the engine's *resident* kernel tables.
+
+    The streaming path never materializes a merged graph; policies
+    reaching through ``ctx.dfg`` (or the context helpers) see exactly the
+    kernels currently admitted and not yet retired — arrived work only,
+    by construction.
+    """
+
+    __slots__ = ("name", "_specs", "_preds", "_succs")
+
+    def __init__(
+        self,
+        name: str,
+        specs: dict[int, Any],
+        preds: dict[int, list[int]],
+        succs: dict[int, list[int]],
+    ) -> None:
+        self.name = name
+        self._specs = specs
+        self._preds = preds
+        self._succs = succs
+
+    def spec(self, kid: int) -> Any:
+        return self._specs[kid]
+
+    def predecessors(self, kid: int) -> list[int]:
+        return self._preds[kid]
+
+    def successors(self, kid: int) -> list[int]:
+        return self._succs[kid]
+
+    def kernel_ids(self) -> list[int]:
+        return sorted(self._specs)
+
+    def __len__(self) -> int:
+        return len(self._specs)
+
+    def __contains__(self, kid: int) -> bool:
+        return kid in self._specs
 
 
 class StreamAdmission(RuntimeDynamics):
@@ -445,7 +487,6 @@ class RetirementDynamics(RuntimeDynamics):
         e.is_alternative.pop(kid, None)
         e.noise.pop(kid, None)
         e.completed.discard(kid)
-        e.release_kernel(kid)
         self.n_retired += 1
 
 

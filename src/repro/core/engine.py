@@ -38,10 +38,19 @@ kernel start to kernel completion, so aborted attempts never pollute the
 log or the accumulators.  Stale completion events left behind by an
 abort are invalidated through per-processor start tokens.
 
-Determinism: with only the standard layers attached, the engine performs
-the *same sequence* of event pushes, policy invocations and state
-mutations as the pre-split monolith — the bit-for-bit guarantee
-``tests/test_simulator_equivalence.py`` pins against
+Two per-instant economies keep the loop cheap without changing what a
+policy sees:
+
+* **one ``select`` per instant** for drivers whose single call returns
+  the instant's whole fixpoint (:func:`~repro.policies.base.
+  driver_is_batchable`); other drivers keep the convergence loop;
+* **lazy processor views**: a mutation only marks its processor dirty,
+  and :meth:`EngineCore.make_context` rebuilds, in one pass, the dirty
+  views and the views whose ``free_at`` fell behind the clock.
+
+Determinism: with only the standard layers attached, the engine produces
+the same schedules, bit for bit, as the pre-split monolith — the
+guarantee ``tests/test_simulator_equivalence.py`` pins against
 :class:`~repro.core.reference.ReferenceSimulator`.
 """
 
@@ -58,10 +67,13 @@ from repro.policies.base import (
     PreemptionInfo,
     ProcessorView,
     SchedulingContext,
+    driver_is_batchable,
 )
+from repro.profiling import record_engine_run
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.cost import CostModel
+    from repro.profiling import PhaseProfiler
     from repro.core.system import SystemConfig
     from repro.graphs.dfg import DFG
     from repro.policies.base import DynamicPolicy, Policy
@@ -89,9 +101,6 @@ class _ProcState:
     @property
     def blocked(self) -> bool:
         return self.faulted or self.penalized
-
-    def busy(self, now: float) -> bool:
-        return self.running is not None and self.free_at > now + 1e-12
 
 
 class _ReadyQueue:
@@ -146,48 +155,6 @@ class _ReadyQueue:
         if self._tuple is None:
             self._tuple = tuple(self._d)
         return self._tuple
-
-
-class _ResidentGraph:
-    """Read-only DFG facade over the engine's *resident* kernel tables.
-
-    The streaming path never materializes a merged graph; policies
-    reaching through ``ctx.dfg`` (or the context helpers) see exactly the
-    kernels currently admitted and not yet retired — arrived work only,
-    by construction.
-    """
-
-    __slots__ = ("name", "_specs", "_preds", "_succs")
-
-    def __init__(
-        self,
-        name: str,
-        specs: dict[int, Any],
-        preds: dict[int, list[int]],
-        succs: dict[int, list[int]],
-    ) -> None:
-        self.name = name
-        self._specs = specs
-        self._preds = preds
-        self._succs = succs
-
-    def spec(self, kid: int) -> Any:
-        return self._specs[kid]
-
-    def predecessors(self, kid: int) -> list[int]:
-        return self._preds[kid]
-
-    def successors(self, kid: int) -> list[int]:
-        return self._succs[kid]
-
-    def kernel_ids(self) -> list[int]:
-        return sorted(self._specs)
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def __contains__(self, kid: int) -> bool:
-        return kid in self._specs
 
 
 class RuntimeDynamics:
@@ -304,7 +271,7 @@ class EngineCore:
         self.proc_names = tuple(self.procs)
 
         # kernel tables (content owned by the admission layer)
-        self.graph: "DFG | _ResidentGraph | None" = None
+        self.graph: Any = None  # the DFG, or a resident-kernel facade
         self.specs: dict[int, Any] = {}
         self.preds_of: dict[int, list[int]] = {}
         self.succs_of: dict[int, list[int]] = {}
@@ -331,9 +298,17 @@ class EngineCore:
         self.more_arrivals = False
 
         self.views: dict[str, ProcessorView] = {}
+        self._view_dirty: set[str] = set(self.procs)
         self.state_version = 0
         self.time_sensitive = bool(getattr(driver, "time_sensitive", True))
+        self._one_call = driver_is_batchable(driver)
         self._last_empty: tuple[int, float | None] | None = None
+
+        # work counters (plain ints) and the optional phase profiler
+        self.profiler: "PhaseProfiler | None" = None
+        self.n_selects = 0
+        self.n_epochs = 0
+        self.n_events = 0
 
         # layer wiring
         self._layers: list[RuntimeDynamics] = []
@@ -356,9 +331,7 @@ class EngineCore:
         self._entry_hooks: list[Callable[[ScheduleEntry], None]] = []
         self._admit_hooks: list[Callable[..., None]] = []
         self._observe_hooks: list[Callable[[SchedulingContext], None]] = []
-
-        for name in self.procs:
-            self.refresh_view(name)
+        self._flush_views()
 
     # ------------------------------------------------------------------
     # assembly
@@ -398,22 +371,37 @@ class EngineCore:
     # views and contexts
     # ------------------------------------------------------------------
     def refresh_view(self, name: str) -> None:
-        # positional construction — this runs once per processor-state
-        # mutation, the hottest object creation in the engine
-        st = self.procs[name]
-        free_at = st.free_at
+        """Mark ``name``'s view stale; the next context rebuilds it."""
+        self._view_dirty.add(name)
+
+    def _flush_views(self) -> None:
+        # A view that is not dirty was built from the processor's current
+        # state; its only time-dependent field is free_at = max(state
+        # free_at, build time), which needs a rebuild exactly when it fell
+        # behind the clock.  So after this pass every view equals one
+        # built eagerly from the current state at the current time.
+        dirty = self._view_dirty
+        views = self.views
         now = self.now
-        self.views[name] = ProcessorView(
-            self.system[name],
-            st.running is not None,
-            free_at if free_at > now else now,
-            len(st.queue),
-            st.running,
-            not (st.faulted or st.penalized),
-        )
+        procs = self.procs
+        system = self.system
+        for name in self.proc_names:
+            if name in dirty or views[name].free_at < now:
+                st = procs[name]
+                free_at = st.free_at
+                views[name] = ProcessorView(
+                    system[name],
+                    st.running is not None,
+                    free_at if free_at > now else now,
+                    len(st.queue),
+                    st.running,
+                    not (st.faulted or st.penalized),
+                )
+        dirty.clear()
 
     def make_context(self) -> SchedulingContext:
         # Live references throughout — nothing is copied per invocation.
+        self._flush_views()
         return SchedulingContext(
             time=self.now,
             ready=None,
@@ -490,21 +478,10 @@ class EngineCore:
             self.record_entry(entry)
         for h in self._start_hooks:
             h(kid, name)
-        self._push_completion(finish, kid, name, token)
-        return True
-
-    def _push_completion(self, finish: float, kid: int, name: str, token: int) -> None:
-        # Seam for the array backend, which pushes bare records instead.
         self.events.push(
             Event(finish, EventKind.KERNEL_COMPLETE, payload=(kid, name, token))
         )
-
-    def pred_count(self, kid: int) -> int:
-        """Outstanding predecessors (array backend reads its CSR mirror)."""
-        return self.remaining_preds[kid]
-
-    def release_kernel(self, kid: int) -> None:
-        """Retirement notification — the array backend recycles the row."""
+        return True
 
     def record_entry(self, entry: ScheduleEntry) -> None:
         for h in self._entry_hooks:
@@ -625,35 +602,36 @@ class EngineCore:
     # the loop
     # ------------------------------------------------------------------
     def _fixpoint(self) -> None:
-        """Assignment fixpoint at the current instant."""
+        """Assignment fixpoint at the current instant.
+
+        A driver whose one ``select`` call returns the whole fixpoint is
+        called once: each assigned processor stops being idle and the
+        ready set only shrinks, so a second call would return ``[]``.
+        Any other driver is re-invoked until it assigns nothing.
+        """
         select = self.driver.select
         ready = self.ready
         time_sensitive = self.time_sensitive
-        for _ in range(max(self.n_admitted, 1) * len(self.procs) + 2):
-            if ready:
-                sig = (self.state_version, self.now if time_sensitive else None)
-                if self._last_empty == sig:
-                    assignments: list[Assignment] = []
-                else:
-                    assignments = list(select(self.make_context()))
-                    ready.added.clear()
-                    if not assignments:
-                        self._last_empty = sig
-            else:
-                assignments = []
-            if not self.apply_assignments(assignments):
+        rounds = 1 if self._one_call else max(self.n_admitted, 1) * len(self.procs) + 2
+        for _ in range(rounds):
+            if not ready:
                 return
-        raise SchedulingError(  # pragma: no cover - defensive
-            f"{self.policy.name}: assignment loop did not converge at t={self.now}"
-        )
-
-    def _handle_complete(self, ev: Event) -> None:
-        kid, name, token = ev.payload
-        self._complete(kid, name, token)
+            sig = (self.state_version, self.now if time_sensitive else None)
+            if self._last_empty == sig:
+                return
+            self.n_selects += 1
+            assignments = list(select(self.make_context()))
+            ready.added.clear()
+            if not assignments:
+                self._last_empty = sig
+                return
+            self.apply_assignments(assignments)
+        if rounds > 1:  # pragma: no cover - defensive
+            raise SchedulingError(
+                f"{self.policy.name}: assignment loop did not converge at t={self.now}"
+            )
 
     def _complete(self, kid: int, name: str, token: int) -> None:
-        # Record-based completion seam: the array backend calls this
-        # directly from popped heap records, without materializing Events.
         if self._live_token[name] != token:
             return  # stale: that start was aborted by a fault/preemption
         st = self.procs[name]
@@ -686,7 +664,12 @@ class EngineCore:
         self.start_if_possible(name)
 
     def run_loop(self) -> None:
-        """Drive the simulation to completion."""
+        """Drive the simulation to completion.
+
+        With a :class:`~repro.profiling.PhaseProfiler` attached, the
+        wall-clock of the fixpoint and of event handling is split per
+        phase; without one, the loop only counts epochs and events.
+        """
         for layer in self._layers:
             layer.on_run_start()
         for layer in self._layers:
@@ -698,8 +681,15 @@ class EngineCore:
         handlers = self._handlers
         observe_hooks = self._observe_hooks
         complete = EventKind.KERNEL_COMPLETE
+        prof = self.profiler
+        n_epochs = n_events = 0
         while self.n_completed < self.n_admitted or self.more_arrivals:
-            self._fixpoint()
+            if prof is None:
+                self._fixpoint()
+            else:
+                t0 = prof.now()
+                self._fixpoint()
+                prof.add("fixpoint", t0, prof.now())
 
             if not events:
                 raise SchedulingError(
@@ -709,65 +699,55 @@ class EngineCore:
                 )
 
             batch = events.pop_simultaneous()
-            if batch[0].time != self.now:
-                self.now = now = batch[0].time
-                # clock moved: idle processors' free_at clamps to the new now
-                for vname, view in self.views.items():
-                    if view.free_at < now:
-                        self.refresh_view(vname)
+            n_epochs += 1
+            n_events += len(batch)
+            t0 = 0.0 if prof is None else prof.now()
             for ev in batch:
                 self.now = ev.time
                 if ev.kind is complete:
-                    self._handle_complete(ev)
+                    self._complete(*ev.payload)
                 else:
                     handlers[ev.kind](ev)
+            if prof is not None:
+                prof.add("events", t0, prof.now())
             if observe_hooks and self.ready:
                 ctx = self.make_context()
                 for h in observe_hooks:
                     h(ctx)
+                    self._flush_views()  # keep ctx.views live for the next hook
+        self.n_epochs, self.n_events = n_epochs, n_events
         for layer in self._layers:
             layer.finalize()
+        record_engine_run(self.profile_counters())
+
+    def profile_counters(self) -> dict[str, object]:
+        """This run's work counters, plus ``phase_ms`` when profiled."""
+        out: dict[str, object] = {
+            "n_epochs": self.n_epochs,
+            "n_events": self.n_events,
+            "n_selects": self.n_selects,
+            "n_completed": self.n_completed,
+        }
+        if self.n_epochs:
+            out["events_per_epoch"] = round(self.n_events / self.n_epochs, 3)
+        if self.profiler is not None:
+            out["phase_ms"] = self.profiler.snapshot()
+        return out
 
 
-#: selectable engine backends: "object" is :class:`EngineCore` as-is,
-#: "array" is the numpy struct-of-arrays hot path
-#: (:class:`~repro.core.array_state.ArrayEngineCore`).  Both produce
-#: bit-for-bit identical schedules, metrics and policy statistics.
-ENGINE_BACKENDS = ("object", "array")
-
-#: environment override consulted when no explicit backend is given —
-#: lets the CLI and CI select the array hot path without threading a
-#: parameter through every experiment entry point.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
+#: the engine implementations a caller may name; there is one.
+ENGINE_BACKENDS = ("object",)
 
 
 def resolve_backend(backend: "str | None") -> str:
-    """Normalize a backend selector (``None`` → env var → ``"object"``)."""
-    import os
-
+    """Normalize an engine selector (``None`` → the one engine)."""
     if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "object"
+        return ENGINE_BACKENDS[0]
     if backend not in ENGINE_BACKENDS:
         raise ValueError(
             f"unknown engine backend {backend!r} (choose from {ENGINE_BACKENDS})"
         )
     return backend
-
-
-def make_engine(
-    backend: "str | None", *args: Any, jit: "str | bool | None" = None, **kwargs: Any
-) -> EngineCore:
-    """Construct an engine core for the resolved ``backend``.
-
-    ``jit`` selects the compiled-kernel layer (array backend only; see
-    :mod:`repro.core._kernels`) — the object core has no jittable inner
-    loops, so the flag is dropped there.
-    """
-    if resolve_backend(backend) == "array":
-        from repro.core.array_state import ArrayEngineCore
-
-        return ArrayEngineCore(*args, jit=jit, **kwargs)
-    return EngineCore(*args, **kwargs)
 
 
 #: hook name → engine dispatch-list attribute.

@@ -49,6 +49,8 @@ Scheduling semantics (unchanged by the split):
 * The policy is (re-)invoked after every batch of simultaneous events and
   after each round of assignments, until no further assignment is made —
   so a policy always sees the maximal ready set and the true idle set.
+  (A batchable policy returns that fixpoint from one call, so the engine
+  skips the final, empty round.)
 
 All costs — execution lookups, transfer times, the ``transfers_enabled``
 switch — live in one :class:`~repro.core.cost.CostModel` built from the
@@ -58,11 +60,14 @@ simulator's configuration and threaded through static planning
 every layer prices an assignment identically.
 
 The inner loop is *incremental*, built for million-kernel streams and
-many-processor systems: processor views are rebuilt only on change, the
-ready queue is an order-preserving set with O(1) membership and removal,
-per-kernel lookup queries are memoized in the cost model, and a policy
-whose last answer was empty is not re-invoked until something it can
-observe has changed (:attr:`~repro.policies.base.Policy.time_sensitive`).
+many-processor systems: processor views are rebuilt lazily, only when a
+policy is about to read them; the ready queue is an order-preserving set
+with O(1) membership and removal; per-kernel lookup queries are memoized
+in the cost model; a policy whose one call returns the whole fixpoint
+(:attr:`~repro.policies.base.Policy.batchable`) is called once per
+scheduling instant; and a policy whose last answer was empty is not
+re-invoked until something it can observe has changed
+(:attr:`~repro.policies.base.Policy.time_sensitive`).
 Unused layer hooks are never dispatched, so the layering adds no
 per-event tax (gated in ``benchmarks/test_bench_simulator_scale.py``).
 
@@ -125,13 +130,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from repro.core.cost import VALID_TRANSFER_MODES, CostModel
-from repro.core.dynamics import (
+from repro.core.dynamics import (  # noqa: F401 - _ResidentGraph re-export
     BatchAdmission,
     ContentionDynamics,
     DynamicsSpec,
     MetricsDynamics,
     RetirementDynamics,
     StreamAdmission,
+    _ResidentGraph,
     build_dynamics,
 )
 from repro.core.energy import (
@@ -145,13 +151,12 @@ from repro.core.engine import (
     EngineCore,
     RuntimeDynamics,
     SchedulingError,
-    make_engine,
     resolve_backend,
 )
 
 # Backward-compatible re-exports: these engine internals lived here
 # before the engine/dynamics split (ReferenceSimulator imports them).
-from repro.core.engine import _ProcState, _ReadyQueue, _ResidentGraph  # noqa: F401
+from repro.core.engine import _ProcState, _ReadyQueue  # noqa: F401
 from repro.core.lookup import LookupTable
 from repro.core.metrics import (
     ServiceMetrics,
@@ -294,24 +299,13 @@ class Simulator:
         (default: the paper-device :data:`~repro.core.energy.
         DEFAULT_POWER_MODEL`).
     backend:
-        Engine backend: ``"object"`` (the :class:`~repro.core.engine.
-        EngineCore` hot path) or ``"array"`` (the numpy struct-of-arrays
-        hot path, :class:`~repro.core.array_state.ArrayEngineCore`).
-        ``None`` (default) consults the ``REPRO_BACKEND`` environment
-        variable, falling back to ``"object"``.  Both backends produce
-        bit-for-bit identical results; ``"array"`` is faster on large
-        streams.
-    jit:
-        Compiled-kernel selector for the array backend (see
-        :mod:`repro.core._kernels`): ``"on"``/``"off"``/``"auto"`` or a
-        bool; ``None`` (default) consults the ``REPRO_JIT`` environment
-        variable.  Requesting jit without numba installed silently uses
-        the bit-identical pure-numpy fallback.  Ignored by the object
-        backend.
+        Engine selector, kept for callers that name one: ``None`` or
+        ``"object"`` (:class:`~repro.core.engine.EngineCore`, the one
+        engine).
     profile:
-        Attach a :class:`~repro.profiling.PhaseProfiler` to array-backend
-        runs; per-phase wall-clock and hot-path counters land in
-        :attr:`last_profile` after each run.
+        Attach a :class:`~repro.profiling.PhaseProfiler`: the per-phase
+        wall-clock (``fixpoint``, ``events``) joins the work counters in
+        :attr:`last_profile`.
     """
 
     def __init__(
@@ -327,7 +321,6 @@ class Simulator:
         dynamics: "Sequence[RuntimeDynamics | DynamicsSpec] | None" = None,
         power_model: PowerModel | None = None,
         backend: str | None = None,
-        jit: "str | bool | None" = None,
         profile: bool = False,
     ) -> None:
         if exec_noise_sigma < 0:
@@ -363,13 +356,9 @@ class Simulator:
         self.dynamics = tuple(dynamics or ())
         self.power_model = power_model if power_model is not None else DEFAULT_POWER_MODEL
         self.backend = resolve_backend(backend)
-        # jit selects the compiled-kernel layer (array backend only;
-        # graceful numpy fallback when numba is absent) — resolved at
-        # engine construction so the env var is read per run
-        self.jit = jit
         self.profile = bool(profile)
-        #: phase-profiler counters of the most recent run (array backend;
-        #: ``None`` before any run or on the object backend)
+        #: work counters (and, when profiling, phase milliseconds) of the
+        #: most recent run; ``None`` before any run
         self.last_profile: dict[str, object] | None = None
 
     # ------------------------------------------------------------------
@@ -389,17 +378,15 @@ class Simulator:
     ) -> EngineCore:
         """Assemble the layer chain: admission → contention → extra
         dynamics → retirement → metrics."""
-        engine = make_engine(
-            self.backend,
+        engine = EngineCore(
             self.system,
             self.cost,
             policy,
             driver,
             noise_sigma=self.exec_noise_sigma,
             noise_seed=self.noise_seed,
-            jit=self.jit,
         )
-        if self.profile and hasattr(engine, "profiler"):
+        if self.profile:
             from repro.profiling import PhaseProfiler
 
             engine.profiler = PhaseProfiler()
@@ -491,8 +478,7 @@ class Simulator:
         )
         engine.noise.update(self._noise_factors(dfg))
         engine.run_loop()
-        counters = getattr(engine, "profile_counters", None)
-        self.last_profile = counters() if counters is not None else None
+        self.last_profile = engine.profile_counters()
 
         schedule = metrics_layer.schedule
         schedule.validate(dfg)
@@ -607,8 +593,7 @@ class Simulator:
             policy, driver, admission, metrics_layer, retirement=retirement
         )
         engine.run_loop()
-        counters = getattr(engine, "profile_counters", None)
-        self.last_profile = counters() if counters is not None else None
+        self.last_profile = engine.profile_counters()
 
         schedule = metrics_layer.schedule
         metrics = metrics_layer.metrics()

@@ -171,9 +171,9 @@ class _ScaleStreamSource(ArrivalSource):
     exponential gap — so ``materialize()`` is bit-for-bit the stream
     :func:`streaming_scale_stream` returns with the same parameters
     (pinned by ``tests/test_simulator_stream.py``).  Built for the
-    million-kernel benchmark scenario: with streaming admission and the
-    array backend's row recycling, peak memory stays bounded by the
-    *live* window, not the stream length.
+    million-kernel benchmark scenario: with streaming admission and
+    retirement, peak memory stays bounded by the *live* window, not the
+    stream length.
     """
 
     def __init__(

@@ -20,7 +20,7 @@ round out the library for workloads beyond the paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,21 +51,29 @@ class KernelPopulation:
 
     choices: tuple[tuple[str, int], ...]
     pair_uniform: bool = False
+    #: ``(kernel, sizes)`` per kernel type, in sorted type order (built once)
+    _by_kernel: tuple[tuple[str, tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.choices:
             raise ValueError("population must have at least one (kernel, size) choice")
+        by_kernel: dict[str, list[int]] = {}
+        for kernel, size in self.choices:
+            by_kernel.setdefault(kernel, []).append(size)
+        object.__setattr__(
+            self,
+            "_by_kernel",
+            tuple((k, tuple(by_kernel[k])) for k in sorted(by_kernel)),
+        )
 
     def sample(self, rng: np.random.Generator) -> KernelSpec:
         if self.pair_uniform:
             kernel, size = self.choices[int(rng.integers(len(self.choices)))]
             return KernelSpec(kernel, size)
-        by_kernel: dict[str, list[int]] = {}
-        for kernel, size in self.choices:
-            by_kernel.setdefault(kernel, []).append(size)
-        names = sorted(by_kernel)
-        kernel = names[int(rng.integers(len(names)))]
-        sizes = by_kernel[kernel]
+        by_kernel = self._by_kernel
+        kernel, sizes = by_kernel[int(rng.integers(len(by_kernel)))]
         return KernelSpec(kernel, sizes[int(rng.integers(len(sizes)))])
 
     def sample_many(self, n: int, rng: np.random.Generator) -> list[KernelSpec]:

@@ -19,7 +19,7 @@ MET.  For each ready kernel (FCFS):
 slower processor), large α floods slow processors.  The paper finds a
 "valley" with the optimum at α = 4 for its CPU/GPU/FPGA system.
 
-Both engines run APT on one incremental :class:`ReadyIndex` instead of
+The engine runs APT on one incremental :class:`ReadyIndex` instead of
 rescanning the ready set on every call; :meth:`APT.scan` keeps the
 literal Algorithm 1 walk for contexts without a live ready queue (the
 reference simulator, hand-built contexts) and is the index's oracle.
@@ -305,11 +305,6 @@ class APT(DynamicPolicy):
             idle = [j for j, name in enumerate(index.names) if views[name].idle]
             out = index.select(ctx, idle)
         self._count_alternatives(ctx, out)
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        out = self._indexed(batch).select(batch, batch.idle_cols)
-        self._count_alternatives(batch, out)
         return out
 
     def _indexed(self, view: Any) -> ReadyIndex:

@@ -407,16 +407,14 @@ class Policy(abc.ABC):
     #: check reads the clock.
     time_sensitive: bool = True
 
-    #: Whether the policy implements :meth:`DynamicPolicy.select_batch`
-    #: with scoring expressible over the whole ready set at once.  The
-    #: array engine backend routes batchable policies through
-    #: ``select_batch(BatchContext)`` instead of the per-invocation
-    #: ``select`` fixpoint; both paths must produce identical
-    #: assignments.  Classes set this alongside ``select_batch``;
-    #: instances whose configuration breaks batch purity (e.g. a seeded
-    #: MET) clear it in ``__init__``.  A subclass overriding ``select``
-    #: without overriding ``select_batch`` is detected and falls back to
-    #: the per-kernel path regardless of this flag.
+    #: Whether one :meth:`DynamicPolicy.select` call returns every
+    #: assignment this policy makes at this state — so that, once the
+    #: engine applies it, a second call at the same instant returns
+    #: ``[]``.  The engine then calls ``select`` once per instant instead
+    #: of iterating to a fixpoint.  Instances whose configuration breaks
+    #: the property (a seeded MET draws on every call) clear it in
+    #: ``__init__``; see :func:`driver_is_batchable` for the structural
+    #: guard on subclasses.
     batchable: bool = False
 
     def reset(self) -> None:
@@ -447,21 +445,10 @@ class DynamicPolicy(Policy):
         """Return assignments for (a subset of) the ready kernels.
 
         Called repeatedly until it returns no new assignment at the current
-        time; it must therefore be idempotent on an unchanged context.
+        time; it must therefore be idempotent on an unchanged context.  A
+        :attr:`~Policy.batchable` policy is called once per instant
+        instead, and must return the whole fixpoint from that one call.
         """
-
-    def select_batch(self, batch: Any) -> list[Assignment]:
-        """Whole-ready-set variant of :meth:`select` for the array backend.
-
-        ``batch`` is a :class:`~repro.core.array_state.BatchContext`
-        exposing the ready set, idle processors and the engine's
-        execution-cost arrays.  Implementations must return exactly the
-        assignments the ``select`` fixpoint would have produced across
-        *all* of its invocations at the current instant — the array
-        backend applies the batch once instead of looping.  Only called
-        when :attr:`Policy.batchable` is true.
-        """
-        raise NotImplementedError(f"{self.name} does not implement select_batch")
 
     def preempt(self, ctx: SchedulingContext) -> Sequence[str]:
         """Processors whose running kernel this policy wants preempted.
@@ -484,6 +471,27 @@ class DynamicPolicy(Policy):
         stateful drivers (e.g. static-plan dispatchers) use this to
         re-queue it.  The default does nothing.
         """
+
+
+def driver_is_batchable(driver: Any) -> bool:
+    """Whether the engine may call ``driver.select`` once per instant.
+
+    Requires :attr:`Policy.batchable` (read on the *instance*, so a
+    seeded MET can opt out in ``__init__``), and honors it only when the
+    class declaring the flag sits at or below the class defining
+    ``select`` in the MRO.  A subclass that overrides ``select`` without
+    restating the flag (APT-RT, say) therefore falls back to the
+    convergence loop: the parent's one-call property says nothing about
+    the new ``select``.
+    """
+    if not getattr(driver, "batchable", False):
+        return False
+    mro = type(driver).__mro__
+    select_owner = next((c for c in mro if "select" in c.__dict__), None)
+    flag_owner = next((c for c in mro if "batchable" in c.__dict__), None)
+    if select_owner is None or flag_owner is None:
+        return False
+    return issubclass(flag_owner, select_owner)
 
 
 class StaticPolicy(Policy):

@@ -6,9 +6,18 @@ suited processor for the kernel is not currently available, [the] policy
 decides to wait for the best processor to become available".  A processor
 can therefore sit idle while suitable work waits for a different device —
 the inefficiency APT's threshold removes.
+
+On an engine context the FCFS variant keeps one FCFS heap per p_min
+category over the ready queue's sequence numbers, filled as kernels
+become ready, instead of rescanning the ready set on every call;
+:meth:`MET.scan` keeps the literal walk for the seeded variant and for
+contexts without a live ready queue, and is the index's oracle.
 """
 
 from __future__ import annotations
+
+import heapq
+from typing import Any
 
 import numpy as np
 
@@ -29,6 +38,7 @@ class MET(DynamicPolicy):
     """
 
     name = "met"
+    batchable = True
 
     def __init__(self, rng: np.random.Generator | None = None) -> None:
         self.rng = rng
@@ -36,13 +46,70 @@ class MET(DynamicPolicy):
         # answers are not a pure function of the context — opt out of the
         # simulator's skip-when-unchanged guard to keep the RNG stream
         # aligned with an always-reinvoking engine.  The same impurity
-        # rules out the array backend's batch path (which must mirror
-        # select() call-for-call): only the deterministic FCFS variant
-        # is batchable.
+        # rules out one call per instant: only the deterministic FCFS
+        # variant is batchable.
         self.time_sensitive = rng is not None
         self.batchable = rng is None
+        self._queue: Any = None
+        self._heaps: dict[Any, list[int]] = {}
+        self._filed = 0  # the newest sequence number filed
+
+    def reset(self) -> None:
+        self._queue = None
+        self._heaps = {}
+        self._filed = 0
 
     def select(self, ctx: SchedulingContext) -> list[Assignment]:
+        queue = ctx.ready_queue
+        if self.rng is not None or queue is None:
+            return self.scan(ctx)
+        if self._queue is not queue:
+            self._queue, self._heaps, self._filed = queue, {}, 0
+            seqs: Any = list(queue.kid_at)
+        else:
+            seqs = queue.added
+        # A ready kernel's p_min category never changes: file it once
+        # (numbers rise, so anything at or below the newest is filed).
+        heaps = self._heaps
+        kid_at = queue.kid_at
+        filed = self._filed
+        for seq in seqs:
+            kid = kid_at.get(seq)
+            if kid is not None and seq > filed:
+                best_ptype, _ = ctx.best_processor_type(kid)
+                heapq.heappush(heaps.setdefault(best_ptype, []), seq)
+                filed = seq
+        self._filed = filed
+        # The FCFS walk gives each category's idle instances, in
+        # declaration order, to that category's earliest ready kernels.
+        idle: dict[Any, list[str]] = {}
+        views = ctx.views
+        for p in ctx.system:
+            if views[p.name].idle:
+                idle.setdefault(p.ptype, []).append(p.name)
+        picks: list[tuple[int, str]] = []
+        for ptype, names in idle.items():
+            heap = heaps.get(ptype)
+            if not heap:
+                continue
+            taken: list[int] = []
+            for name in names:
+                while heap and heap[0] not in kid_at:
+                    heapq.heappop(heap)  # assigned since it was filed
+                if not heap:
+                    break
+                seq = heapq.heappop(heap)
+                taken.append(seq)
+                picks.append((seq, name))
+            # back in, so an unapplied answer changes nothing; once the
+            # engine applies it they are stale heads, dropped next time
+            for seq in taken:
+                heapq.heappush(heap, seq)
+        picks.sort()
+        return [Assignment(kernel_id=kid_at[seq], processor=name) for seq, name in picks]
+
+    def scan(self, ctx: SchedulingContext) -> list[Assignment]:
+        """The literal walk over the ready set (random order when seeded)."""
         out: list[Assignment] = []
         # Idle and not yet consumed this call, in system declaration order.
         avail: dict[str, None] = {
@@ -64,21 +131,4 @@ class MET(DynamicPolicy):
             if p_min is not None:
                 del avail[p_min]
                 out.append(Assignment(kernel_id=kid, processor=p_min))
-        return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        # FCFS scan, popping each kernel's best category's first idle
-        # instance (declaration order) — the deque popleft reproduces
-        # select()'s first-avail-of-type probe without any cost lookups.
-        free = batch.idle_by_category()
-        n_free = len(batch.idle_names)
-        out: list[Assignment] = []
-        best_cat = batch.best_cat()
-        for i, kid in enumerate(batch.ready):
-            if not n_free:
-                break
-            cat_free = free.get(best_cat[i])
-            if cat_free:
-                out.append(Assignment(kernel_id=kid, processor=cat_free.popleft()))
-                n_free -= 1
         return out

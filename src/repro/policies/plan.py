@@ -74,26 +74,3 @@ class PlanDispatcher(DynamicPolicy):
                 self._cursor[proc_name] = i + 1
                 out.append(Assignment(kernel_id=order[i], processor=proc_name))
         return out
-
-    def select_batch(self, batch) -> list[Assignment]:
-        # One pass over the per-processor plan cursors *is* the whole
-        # fixpoint: each idle processor takes at most one kernel (then it
-        # is busy for the rest of the instant) and the ready set only
-        # shrinks while assignments apply, so select()'s second round
-        # could never add anything — no cost lookups needed at all.
-        out: list[Assignment] = []
-        is_ready = batch.is_ready
-        idle = set(batch.idle_names)
-        for proc_name, order in self._order.items():
-            if proc_name not in idle:
-                continue
-            redo = self._redo.get(proc_name)
-            if redo:
-                if is_ready(redo[0]):
-                    out.append(Assignment(kernel_id=redo.pop(0), processor=proc_name))
-                continue
-            i = self._cursor[proc_name]
-            if i < len(order) and is_ready(order[i]):
-                self._cursor[proc_name] = i + 1
-                out.append(Assignment(kernel_id=order[i], processor=proc_name))
-        return out

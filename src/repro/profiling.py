@@ -12,9 +12,10 @@ Two layers:
   (fixpoint vs event processing), attached by
   ``Simulator(profile=True)`` / ``apt-sched simulate --profile``;
 * a **process-global accumulator** (:func:`record_engine_run` /
-  :func:`engine_totals`) fed by every array-backend run — cheap integer
-  counters only — which the service ``/stats`` endpoint reports so
-  perf regressions are observable in production.  The default service
+  :func:`engine_totals`) fed by every engine run — cheap integer
+  counters only (epochs, events, ``select`` calls, completions) — which
+  the service ``/stats`` endpoint reports so perf regressions are
+  observable in production.  The default service
   executor runs jobs in threads, so the totals are visible to it; the
   opt-in process executor keeps per-process totals (documented
   limitation).

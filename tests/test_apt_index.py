@@ -1,16 +1,18 @@
 """APT's incremental ready index against the literal Algorithm 1 scan.
 
-Both engines drive APT through :class:`~repro.policies.apt.ReadyIndex`;
+The engine drives APT through :class:`~repro.policies.apt.ReadyIndex`;
 :meth:`~repro.policies.apt.APT.scan` is the paper's walk over the whole
 FCFS ready set.  ``CheckedAPT`` runs the scan on the very context of
 every call and then the index, and asserts both return the same
 assignment list — so every scheduling instant of every example is a
 differential check, including the re-adds that fault aborts and
 preemptions produce.  (APT assigns only to idle processors, so a fault's
-queue flush never has anything to return to the ready set.)
+queue flush never has anything to return to the ready set.)  Each
+example runs twice, once with one ``select`` call per instant and once
+with the engine iterating to a fixpoint, and both runs must agree.
 ``TestSingleInstants`` makes the same check call by call on hand-built
-contexts over either engine's ready queue, and
-``TestReadyQueueSequence`` pins the sequence numbers the index keys on.
+contexts over the engine's ready queue, and ``TestReadyQueueSequence``
+pins the sequence numbers the index keys on.
 
 The work-counter gate pins the index's heap pushes and stale pops on the
 1 200-kernel saturated APT stream.  Unlike a wall-clock ratio it cannot
@@ -19,12 +21,15 @@ flake on a busy machine: the counts are a pure function of the run.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.array_state import ArrayReadyQueue
+from repro.core import engine as engine_module
 from repro.core.dynamics import DynamicsSpec
 from repro.core.engine import _ReadyQueue
 from repro.core.simulator import Simulator
@@ -45,16 +50,28 @@ from repro.policies.apt import APT
 from repro.policies.base import ProcessorView, SchedulingContext
 
 LOOKUP = paper_lookup_table()
-BACKENDS = ("object", "array")
+#: how the engine drives a batchable policy: one call per instant, or
+#: the convergence loop every other policy gets
+MODES = ("one_call", "loop")
+
+
+def engine_mode(mode: str):
+    if mode == "one_call":
+        return contextlib.nullcontext()
+    return mock.patch.object(engine_module, "driver_is_batchable", lambda d: False)
 
 
 class CheckedAPT(APT):
     """APT whose every call is checked against the literal scan.
 
-    ``evict_mod`` > 0 also requests preemptions: a running kernel whose
+    It restates ``batchable``: its ``select`` returns exactly APT's, so
+    the engine may still call it once per instant.  ``evict_mod`` > 0
+    also requests preemptions: a running kernel whose
     id is divisible by it is evicted once, so a preemption layer aborts
     it and it re-enters the ready set under a new sequence number.
     """
+
+    batchable = True
 
     def __init__(
         self, alpha: float = 4.0, include_transfer: bool = True, evict_mod: int = 0
@@ -70,15 +87,6 @@ class CheckedAPT(APT):
     def select(self, ctx):
         expected = self.scan(ctx)
         got = super().select(ctx)
-        assert got == expected, f"index {got} != scan {expected} at t={ctx.time}"
-        self.checked_calls += 1
-        return got
-
-    def select_batch(self, batch):
-        # the scan needs processor views: take the engine's own context
-        ctx = batch._e.make_context()
-        expected = self.scan(ctx)
-        got = super().select_batch(batch)
         assert got == expected, f"index {got} != scan {expected} at t={ctx.time}"
         self.checked_calls += 1
         return got
@@ -122,14 +130,14 @@ def build_stream(shapes: list[str], graph_seed: int, gap_ms: float):
     return ApplicationStream(apps)
 
 
-def run_checked(policy, types, stream, dynamics, backend, rate_gbps=4.0):
+def run_checked(policy, types, stream, dynamics, mode, rate_gbps=4.0):
     sim = Simulator(
         build_system(types, rate_gbps),
         LOOKUP,
         dynamics=list(dynamics) or None,
-        backend=backend,
     )
-    return sim.run_stream(stream, policy)
+    with engine_mode(mode):
+        return sim.run_stream(stream, policy)
 
 
 DYNAMICS = {
@@ -190,24 +198,24 @@ class TestIndexMatchesScan:
         )
         specs = build_dynamics(dynamics, dynamics_seed, mttf_ms=max(1500.0, 2 * longest))
         results = []
-        for backend in BACKENDS:
+        for mode in MODES:
             policy = cls(alpha, include_transfer, evict_mod=evict_mod)
             results.append(
-                run_checked(policy, types, stream, specs, backend, rate_gbps)
+                run_checked(policy, types, stream, specs, mode, rate_gbps)
             )
             assert policy.checked_calls > 0
-        obj, arr = results
-        assert list(obj.schedule) == list(arr.schedule)
-        assert obj.policy_stats == arr.policy_stats
+        once, looped = results
+        assert list(once.schedule) == list(looped.schedule)
+        assert once.policy_stats == looped.policy_stats
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_aborts_are_exercised(self, backend):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_aborts_are_exercised(self, mode):
         """A fixed scenario where faults abort and preemptions evict: the
         re-added kernels go through the checked calls."""
         stream = build_stream(["type1", "pipeline", "forkjoin", "type1"] * 2, 5, 50.0)
         specs = build_dynamics("fault+preempt", 3)
         policy = CheckedAPT(4.0, True, evict_mod=3)
-        out = run_checked(policy, ["cpu", "gpu", "gpu", "fpga"], stream, specs, backend)
+        out = run_checked(policy, ["cpu", "gpu", "gpu", "fpga"], stream, specs, mode)
         stats = out.dynamics_stats
         assert stats["fault"]["n_aborted"] > 0
         assert stats["preemption"]["n_preemptions"] > 0
@@ -215,23 +223,26 @@ class TestIndexMatchesScan:
 
 
 #: Committed ceilings for the ready index's work on the 1 200-kernel
-#: saturated APT stream (the BENCH_engine.json n1200 scenario).  Both
-#: backends make the same calls on the same ready queue, so both must
-#: report the same counts.  Lower the ceilings when the index gets
-#: cheaper; raising them needs a reason in CHANGES.md.
+#: saturated APT stream (the BENCH_engine.json n1200 scenario).  The
+#: convergence loop's extra, empty calls only drop stale heads that a
+#: later call would drop anyway, so one call per instant and the loop
+#: must report the same counts.
+#: Lower the ceilings when the index gets cheaper; raising them needs a
+#: reason in CHANGES.md.
 INDEX_WORK_CEILINGS = {"pushes": 5029, "stale_pops": 5022}
 
 
 def test_index_work_counters_stay_under_committed_ceilings():
     counts = []
-    for backend in BACKENDS:
+    for mode in MODES:
         policy = APT(alpha=4.0)
         source = streaming_scale_source(1200, seed=42, mean_interarrival_ms=300.0)
-        Simulator(scale_system(), LOOKUP, backend=backend).run_stream(
-            source, policy, retain_schedule=False
-        )
+        with engine_mode(mode):
+            Simulator(scale_system(), LOOKUP).run_stream(
+                source, policy, retain_schedule=False
+            )
         counts.append(policy.index_counters())
-    assert counts[0] == counts[1], f"backends disagree: {counts}"
+    assert counts[0] == counts[1], f"modes disagree: {counts}"
     for key, ceiling in INDEX_WORK_CEILINGS.items():
         assert counts[0][key] <= ceiling, (
             f"ready index {key} {counts[0][key]} above the committed ceiling {ceiling}"
@@ -241,16 +252,9 @@ def test_index_work_counters_stay_under_committed_ceilings():
 # ----------------------------------------------------------------------
 # single scheduling instants on hand-built contexts
 # ----------------------------------------------------------------------
-def make_queue(kind: str, kids=()):
-    """An empty ready queue of either engine's class."""
-    if kind == "object":
-        return _ReadyQueue(tuple(kids))
-    row_of: dict[int, int] = {}
-
-    def ensure_row(kid: int) -> None:
-        row_of.setdefault(kid, len(row_of))
-
-    return ArrayReadyQueue(ensure_row, row_of, kids)
+def make_queue(kids=()):
+    """The engine's ready queue, holding ``kids`` in FCFS order."""
+    return _ReadyQueue(tuple(kids))
 
 
 def instant_context(system, dfg, queue, idle, assignment_of, completed, ready=None):
@@ -291,9 +295,8 @@ class TestSingleInstants:
     entries as it does inside an engine.
     """
 
-    @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("queue_kind", BACKENDS)
-    def test_index_matches_scan(self, seed, queue_kind):
+    @pytest.mark.parametrize("seed", range(40))
+    def test_index_matches_scan(self, seed):
         rng = np.random.default_rng(seed)
         types = list(rng.choice(["cpu", "gpu", "fpga"], size=int(rng.integers(1, 10))))
         system = build_system(types, float(rng.choice([0.05, 0.5, 4.0])))
@@ -329,7 +332,7 @@ class TestSingleInstants:
             busy_first = {p.name for p in system if p.ptype == pmin and p.name != name}
         cls = APTLongestFirst if seed % 3 == 0 else APT
         policy = cls(alpha, include_transfer)
-        queue = make_queue(queue_kind, frontier)
+        queue = make_queue(frontier)
         for call in range(4):
             idle = {n for n in names if rng.random() < 0.6}
             if call == 0 and busy_first:
@@ -353,8 +356,7 @@ class TestSingleInstants:
                 queue.remove(kid)
                 queue.add(kid)
 
-    @pytest.mark.parametrize("queue_kind", BACKENDS)
-    def test_equal_cost_alternatives_keep_declaration_order(self, queue_kind):
+    def test_equal_cost_alternatives_keep_declaration_order(self):
         """Two idle alternatives of one category cost the same: strict
         ``<`` must take the first-declared one, like the scan."""
         dfg = DFG("ties")
@@ -365,15 +367,14 @@ class TestSingleInstants:
         system = build_system([alt.value, alt.value, best.value])
         # p_min (declared last) is busy; the two alternatives are idle
         idle = {p.name for p in system if p.ptype == alt}
-        ctx = instant_context(system, dfg, make_queue(queue_kind, [kid]), idle, {}, ())
+        ctx = instant_context(system, dfg, make_queue([kid]), idle, {}, ())
         got = APT(alpha=1000.0).select(ctx)
         first_alt = next(p.name for p in system if p.ptype == alt)
         assert [(a.kernel_id, a.processor, a.alternative) for a in got] == [
             (kid, first_alt, True)
         ]
 
-    @pytest.mark.parametrize("queue_kind", BACKENDS)
-    def test_pmin_is_the_best_category_present(self, queue_kind):
+    def test_pmin_is_the_best_category_present(self):
         """Without the lookup's overall best category in the system, p_min
         is the best category present: the kernel takes it as a plain
         assignment, and with it busy and α = 1 it waits."""
@@ -385,12 +386,12 @@ class TestSingleInstants:
         present_best = LOOKUP.best_processor("matmul", 1000, others)[0]
         system = build_system([t.value for t in others])
         idle = {p.name for p in system}
-        ctx = instant_context(system, dfg, make_queue(queue_kind, [kid]), idle, {}, ())
+        ctx = instant_context(system, dfg, make_queue([kid]), idle, {}, ())
         got = APT(alpha=4.0).select(ctx)
         target = next(p.name for p in system if p.ptype == present_best)
         assert [(a.processor, a.alternative) for a in got] == [(target, False)]
         idle.discard(target)
-        ctx = instant_context(system, dfg, make_queue(queue_kind, [kid]), idle, {}, ())
+        ctx = instant_context(system, dfg, make_queue([kid]), idle, {}, ())
         assert APT(alpha=1.0).select(ctx) == []
 
     def test_counters_start_at_zero_and_reset(self):
@@ -400,7 +401,7 @@ class TestSingleInstants:
         kid = dfg.add_kernel(KernelSpec("matmul", 1000))
         system = build_system(["cpu", "gpu", "fpga"])
         idle = {p.name for p in system}
-        policy.select(instant_context(system, dfg, make_queue("object", [kid]), idle, {}, ()))
+        policy.select(instant_context(system, dfg, make_queue([kid]), idle, {}, ()))
         assert policy.index_counters()["pushes"] > 0
         policy.reset()
         assert policy.index_counters() == {"pushes": 0, "stale_pops": 0}
@@ -409,18 +410,17 @@ class TestSingleInstants:
 # ----------------------------------------------------------------------
 # the ready queues' sequence numbers (the index's FCFS key)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("queue_kind", BACKENDS)
 class TestReadyQueueSequence:
-    def test_insertions_are_stamped_in_rising_order(self, queue_kind):
-        queue = make_queue(queue_kind)
+    def test_insertions_are_stamped_in_rising_order(self):
+        queue = make_queue()
         for kid in (7, 3, 9):
             assert queue.add(kid)
         assert queue.added == [1, 2, 3]
         assert queue.kid_at == {1: 7, 2: 3, 3: 9}
         assert list(queue) == [7, 3, 9]
 
-    def test_readd_gets_a_new_number_and_moves_to_the_back(self, queue_kind):
-        queue = make_queue(queue_kind, [7, 3, 9])
+    def test_readd_gets_a_new_number_and_moves_to_the_back(self):
+        queue = make_queue([7, 3, 9])
         queue.added.clear()
         queue.remove(7)
         assert queue.add(7)
@@ -428,14 +428,14 @@ class TestReadyQueueSequence:
         assert queue.kid_at == {2: 3, 3: 9, 4: 7}
         assert queue.as_tuple() == (3, 9, 7)
 
-    def test_adding_a_present_kernel_stamps_nothing(self, queue_kind):
-        queue = make_queue(queue_kind, [7, 3])
+    def test_adding_a_present_kernel_stamps_nothing(self):
+        queue = make_queue([7, 3])
         assert not queue.add(7)
         assert queue.added == [1, 2]
         assert queue.as_tuple() == (7, 3)
 
-    def test_tuple_is_rebuilt_after_every_change(self, queue_kind):
-        queue = make_queue(queue_kind, [1, 2])
+    def test_tuple_is_rebuilt_after_every_change(self):
+        queue = make_queue([1, 2])
         first = queue.as_tuple()
         assert queue.as_tuple() is first  # cached between changes
         queue.add(3)
@@ -444,8 +444,8 @@ class TestReadyQueueSequence:
         assert queue.as_tuple() == (2, 3)
         assert len(queue) == 2 and 1 not in queue and 3 in queue
 
-    def test_context_ready_is_built_from_the_queue(self, queue_kind):
-        queue = make_queue(queue_kind, [5, 4])
+    def test_context_ready_is_built_from_the_queue(self):
+        queue = make_queue([5, 4])
         dfg = DFG("ctx")
         for _ in range(6):
             dfg.add_kernel(KernelSpec("matmul", 1000))
@@ -455,8 +455,8 @@ class TestReadyQueueSequence:
         assert ctx.ready == (5, 4)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_engine_clears_the_insertion_list_after_every_call(backend):
+@pytest.mark.parametrize("mode", MODES)
+def test_engine_clears_the_insertion_list_after_every_call(mode):
     """Each call sees only the numbers stamped since the previous one, and
     every one of them is newer than anything an earlier call saw."""
 
@@ -477,5 +477,5 @@ def test_engine_clears_the_insertion_list_after_every_call(backend):
 
     policy = Watched(alpha=4.0)
     stream = build_stream(["type1", "pipeline", "forkjoin", "chain"], 11, 50.0)
-    run_checked(policy, ["cpu", "gpu", "fpga"], stream, (), backend)
+    run_checked(policy, ["cpu", "gpu", "fpga"], stream, (), mode)
     assert policy.calls > 1

@@ -29,6 +29,17 @@ class TestSimulate:
         )
         assert "policy   : apt" in out
 
+    def test_profile_prints_engine_counters(self, capsys):
+        out = run_cli(capsys, "simulate", "--kernels", "12", "--profile")
+        assert "n_epochs = " in out and "n_selects = " in out
+        assert "phase_ms = " in out and "fixpoint" in out
+        assert "no engine counters" not in out
+
+    @pytest.mark.parametrize("flag", ["--backend", "--jit"])
+    def test_engine_selector_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit):
+            main(["simulate", flag, "object"])
+
 
 class TestFigure5:
     def test_exact_published_numbers(self, capsys):

@@ -1,9 +1,10 @@
-"""Differential fuzzing of the engine backends.
+"""Differential fuzzing of the engine.
 
 Hypothesis generates random scenarios — graph shape, system size,
 topology, policy, noise, runtime dynamics, arrival pattern — and every
-example requires the object and array backends to agree **bit for bit**
-on the schedule, the metrics and the policy stats.  Where the
+example requires the engine to agree **bit for bit**, on the schedule,
+the metrics and the policy stats, with the same engine forced to iterate
+every policy to a fixpoint (no one-call instants).  Where the
 pre-refactor :class:`~repro.core.reference.ReferenceSimulator` is
 applicable (no dynamics, uncontended), it joins as a third oracle.
 
@@ -16,11 +17,14 @@ exact same scenario back after shrinking.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import engine as engine_module
 from repro.core.dynamics import DynamicsSpec
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import Simulator
@@ -98,19 +102,18 @@ def build_dynamics(combo: str, seed: int):
     return specs
 
 
-def run_one(backend: str | None, sim_cls, system, dfg, policy_name, *,
-            noise: bool, dynamics, arrivals, jit=None):
-    kwargs = {}
-    if backend is not None:
-        kwargs["backend"] = backend
-        kwargs["jit"] = jit
+def looped():
+    """Within this context the engine iterates every policy to a fixpoint."""
+    return mock.patch.object(engine_module, "driver_is_batchable", lambda d: False)
+
+
+def run_one(sim_cls, system, dfg, policy_name, *, noise: bool, dynamics, arrivals):
     sim = sim_cls(
         system,
         LOOKUP,
         exec_noise_sigma=0.25 if noise else 0.0,
         noise_seed=13,
         dynamics=list(dynamics) or None,
-        **kwargs,
     )
     return sim.run(dfg, get_policy(policy_name), arrivals=arrivals or None)
 
@@ -121,7 +124,7 @@ def assert_same_run(a, b, label: str) -> None:
     assert a.policy_stats == b.policy_stats, f"policy-stats divergence ({label})"
 
 
-class TestBackendFuzz:
+class TestEngineFuzz:
     @settings(max_examples=50, deadline=None)
     @given(
         shape=st.sampled_from(
@@ -140,12 +143,11 @@ class TestBackendFuzz:
         dynamics_seed=st.integers(min_value=0, max_value=7),
         arrival_seed=st.integers(min_value=0, max_value=2**16),
         staggered=st.booleans(),
-        jit=st.sampled_from([None, "off", "on"]),
     )
-    def test_object_array_reference_agree(
+    def test_one_call_loop_reference_agree(
         self, shape, n, graph_seed, n_cpu, n_gpu, n_fpga, topology,
         policy_name, noise, dynamics_combo, dynamics_seed, arrival_seed,
-        staggered, jit,
+        staggered,
     ):
         dfg = build_dfg(shape, n, graph_seed)
         system = build_system(n_cpu, n_gpu, n_fpga, topology)
@@ -156,21 +158,17 @@ class TestBackendFuzz:
             arrivals = {
                 kid: float(rng.exponential(500.0)) for kid in dfg.entry_kernels()
             }
-        obj = run_one("object", Simulator, system, dfg, policy_name,
+        obj = run_one(Simulator, system, dfg, policy_name,
                       noise=noise, dynamics=dynamics, arrivals=arrivals)
-        # jit axis: "on" compiles the _kernels twins where numba exists
-        # and falls back bit-identically where it doesn't, so the same
-        # examples pin jit parity on the CI numba leg and fallback
-        # parity everywhere else.
-        arr = run_one("array", Simulator, system, dfg, policy_name,
-                      noise=noise, dynamics=dynamics, arrivals=arrivals,
-                      jit=jit)
-        assert_same_run(obj, arr, "object vs array")
+        with looped():
+            loop = run_one(Simulator, system, dfg, policy_name,
+                           noise=noise, dynamics=dynamics, arrivals=arrivals)
+        assert_same_run(obj, loop, "one call vs loop")
         # the pre-refactor oracle predates dynamics and contention
         if not dynamics and topology != "star_contended":
-            ref = run_one(None, ReferenceSimulator, system, dfg, policy_name,
+            ref = run_one(ReferenceSimulator, system, dfg, policy_name,
                           noise=noise, dynamics=(), arrivals=arrivals)
-            assert_same_run(obj, ref, "object vs reference")
+            assert_same_run(obj, ref, "engine vs reference")
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -183,14 +181,14 @@ class TestBackendFuzz:
         arrival_seed=st.integers(min_value=0, max_value=2**16),
         policy_name=st.sampled_from(sorted(available_policies())),
         dynamics_combo=st.sampled_from(sorted(DYNAMICS_COMBOS)),
-        jit=st.sampled_from([None, "off", "on"]),
     )
-    def test_streaming_backends_agree(
+    def test_streaming_one_call_and_loop_agree(
         self, n_apps, shapes, graph_seed, arrival_seed, policy_name,
-        dynamics_combo, jit,
+        dynamics_combo,
     ):
-        """run_stream (admission + retirement) must also match across
-        backends — including service metrics — on random app streams."""
+        """run_stream (admission + retirement) must also match with and
+        without one-call instants — including service metrics — on random
+        app streams."""
         rng = np.random.default_rng(arrival_seed)
         t = 0.0
         apps = []
@@ -200,21 +198,21 @@ class TestBackendFuzz:
             t += float(rng.exponential(2000.0))
         dynamics = build_dynamics(dynamics_combo, 1)
 
-        def run(backend: str):
+        def run():
             sim = Simulator(
                 build_system(2, 1, 1, "flat"),
                 LOOKUP,
                 dynamics=list(dynamics) or None,
-                backend=backend,
-                jit=jit if backend == "array" else None,
             )
             return sim.run_stream(
                 ApplicationStream(list(apps)), get_policy(policy_name)
             )
 
-        obj, arr = run("object"), run("array")
-        assert_same_run(obj, arr, "stream object vs array")
-        assert obj.service == arr.service
+        obj = run()
+        with looped():
+            loop = run()
+        assert_same_run(obj, loop, "stream one call vs loop")
+        assert obj.service == loop.service
 
 
 if __name__ == "__main__":  # pragma: no cover - manual replay helper

@@ -1,26 +1,22 @@
-"""Unit tests for the event queue — both implementations.
+"""Unit tests for the engine's event queue.
 
-Every ordering test runs against the object engine's ``EventQueue`` and
-the array backend's ``ArrayEventHeap`` through the ``make_queue``
-fixture: the heap is a drop-in replacement, so the two must agree on
-every observable (pop order, batch grouping, error contract).  The
-hypothesis differential test at the bottom drives random push/pop
-programs through both side by side.
+The ordering tests pin every observable of ``EventQueue`` (pop order,
+batch grouping, error contract).  The hypothesis test at the bottom
+drives random push/pop programs through the queue and through a sorted
+list that states the ordering contract directly, and requires the two
+to agree at every step.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.array_state import ArrayEventHeap
-from repro.core.events import Event, EventKind, EventQueue
-
-QUEUE_IMPLS = {"object": EventQueue, "array": ArrayEventHeap}
+from repro.core.events import _ARRIVAL_RANK, Event, EventKind, EventQueue
 
 
-@pytest.fixture(params=sorted(QUEUE_IMPLS))
-def make_queue(request):
-    return QUEUE_IMPLS[request.param]
+@pytest.fixture
+def make_queue():
+    return EventQueue
 
 
 def ev(t: float, payload=None) -> Event:
@@ -220,7 +216,7 @@ class TestAllKindsEqualTimestampOrdering:
 
 
 # ----------------------------------------------------------------------
-# differential property test: ArrayEventHeap ≡ EventQueue
+# model-based property test: EventQueue against a sorted list
 # ----------------------------------------------------------------------
 _push_op = st.tuples(
     st.just("push"),
@@ -239,43 +235,60 @@ _ops = st.lists(
 )
 
 
-class TestArrayHeapMatchesEventQueue:
-    """Drive random push/pop/peek programs through both implementations
-    and require identical observable behaviour at every step — the
-    executable form of the drop-in-replacement contract the array
-    backend's run loop relies on."""
+class ModelQueue:
+    """The ordering contract, stated directly: pop the least
+    ``(time, arrival-class-first, push order)`` key."""
+
+    def __init__(self) -> None:
+        self.items: list[tuple[float, int, int, Event]] = []
+        self.seq = 0
+
+    def push(self, event: Event) -> None:
+        self.seq += 1
+        rank = _ARRIVAL_RANK.get(event.kind, 1)
+        self.items.append((event.time, rank, self.seq, event))
+        self.items.sort(key=lambda item: item[:3])
+
+    def pop(self) -> Event:
+        return self.items.pop(0)[3]
+
+    def peek(self) -> Event:
+        return self.items[0][3]
+
+    def pop_simultaneous(self) -> list[Event]:
+        first = self.pop()
+        out = [first]
+        while self.items and self.items[0][0] == first.time:
+            out.append(self.pop())
+        return out
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+class TestQueueMatchesModel:
+    """Drive random push/pop/peek programs through the queue and the
+    model, requiring identical observable behaviour at every step."""
 
     @settings(max_examples=200, deadline=None)
     @given(ops=_ops)
     def test_same_observable_sequence(self, ops):
-        ref, heap = EventQueue(), ArrayEventHeap()
+        model, queue = ModelQueue(), EventQueue()
         tag = 0
         for op in ops:
             if op[0] == "push":
                 _, time, kind = op
                 tag += 1
-                ref.push(Event(time, kind, payload=tag))
-                heap.push(Event(time, kind, payload=tag))
-            elif op[0] == "pop":
-                if ref:
-                    assert heap.pop() == ref.pop()
-                else:
-                    with pytest.raises(IndexError):
-                        heap.pop()
-            elif op[0] == "pop_simultaneous":
-                if ref:
-                    assert heap.pop_simultaneous() == ref.pop_simultaneous()
-                else:
-                    with pytest.raises(IndexError):
-                        heap.pop_simultaneous()
-            else:  # peek
-                if ref:
-                    assert heap.peek() == ref.peek()
-                else:
-                    with pytest.raises(IndexError):
-                        heap.peek()
-            assert len(heap) == len(ref)
+                model.push(Event(time, kind, payload=tag))
+                queue.push(Event(time, kind, payload=tag))
+            elif len(model) == 0:
+                with pytest.raises(IndexError):
+                    getattr(queue, op[0])()
+            else:
+                assert getattr(queue, op[0])() == getattr(model, op[0])()
+            assert len(queue) == len(model)
+            assert bool(queue) == bool(len(model))
         # drain: the remaining orders must agree exactly
-        while ref:
-            assert heap.pop() == ref.pop()
-        assert not heap
+        while len(model):
+            assert queue.pop() == model.pop()
+        assert not queue

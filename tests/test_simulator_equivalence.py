@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core._kernels import numba_available
+from repro.core import engine as engine_module
 from repro.core.reference import ReferenceSimulator
 from repro.core.simulator import Simulator
 from repro.core.system import CPU_GPU_FPGA, Processor, SystemConfig
@@ -74,29 +74,6 @@ def assert_identical_runs(sim_kwargs, dfg, policy_name, arrivals=None):
     )
     assert fast.metrics == slow.metrics
     assert fast.policy_stats == slow.policy_stats
-    # third axis: the struct-of-arrays backend must land on the same
-    # bits as both object-graph engines
-    arr = Simulator(system, lookup, backend="array", **sim_kwargs).run(
-        dfg, get_policy(policy_name), arrivals=arrivals
-    )
-    assert list(arr.schedule) == list(fast.schedule), (
-        f"array-backend divergence: {policy_name} on {dfg.name}"
-    )
-    assert arr.metrics == fast.metrics
-    assert arr.policy_stats == fast.policy_stats
-    # fourth axis, CI's numba leg only: the compiled _kernels twins must
-    # land on the same bits.  Without numba, jit="on" resolves to the
-    # very fallback just asserted above — skip the redundant run.
-    if numba_available():
-        jit = Simulator(system, lookup, backend="array", jit="on",
-                        **sim_kwargs).run(
-            dfg, get_policy(policy_name), arrivals=arrivals
-        )
-        assert list(jit.schedule) == list(fast.schedule), (
-            f"jit-kernel divergence: {policy_name} on {dfg.name}"
-        )
-        assert jit.metrics == fast.metrics
-        assert jit.policy_stats == fast.policy_stats
 
 
 class TestFullPaperSuite:
@@ -297,16 +274,6 @@ class TestEventDrivenArrivalPath:
         )
         assert out.metrics == ref.metrics
         assert out.policy_stats == ref.policy_stats
-        # and the array backend's streaming path must match both
-        arr = Simulator(system, lookup, backend="array", **sim_kwargs).run_stream(
-            EagerSource(stream, name=name), get_policy(policy_name)
-        )
-        assert list(arr.schedule) == list(ref.schedule), (
-            f"array stream divergence: {policy_name} on {name}"
-        )
-        assert arr.metrics == out.metrics
-        assert arr.policy_stats == out.policy_stats
-        assert arr.service == out.service
 
     @pytest.mark.parametrize("policy_name", ALL_POLICIES)
     @pytest.mark.parametrize("dfg_type", [1, 2])
@@ -488,22 +455,17 @@ class TestLayeredEngineSeams:
         assert layered.metrics == base.metrics
 
 
-class TestArrayBackendAnchors:
-    """Direct array-backend anchors beyond the shared assertion helpers:
-    the published Figure 5 end times and the contended-topology event
-    path must hold on the struct-of-arrays engine too."""
+class TestOneCallAnchors:
+    """The published Figure 5 end times and the contended-topology event
+    path must not depend on whether the engine calls a batchable policy
+    once per instant or iterates it to a fixpoint."""
 
-    @pytest.mark.parametrize("jit", [None, "off", "on"])
-    def test_figure5_end_times_on_array_backend(self, jit):
-        # the published anchors must hold on every jit resolution — the
-        # "on" leg runs the compiled twins where numba exists and the
-        # bit-identical fallback elsewhere.
+    @pytest.mark.parametrize("one_call", [True, False])
+    def test_figure5_end_times(self, one_call, monkeypatch):
+        if not one_call:
+            monkeypatch.setattr(engine_module, "driver_is_batchable", lambda d: False)
         sim = Simulator(
-            CPU_GPU_FPGA(),
-            figure5_lookup_table(),
-            transfers_enabled=False,
-            backend="array",
-            jit=jit,
+            CPU_GPU_FPGA(), figure5_lookup_table(), transfers_enabled=False
         )
         dfg = DFG.from_kernels(FIGURE5_KERNELS, name="figure5")
         assert sim.run(dfg, MET()).makespan == pytest.approx(318.093, abs=1e-3)
@@ -512,9 +474,9 @@ class TestArrayBackendAnchors:
         )
 
     @pytest.mark.parametrize("policy_name", ["apt", "met", "heft"])
-    def test_contended_bus_identical_across_backends(self, policy_name, lookup):
-        from repro.core.topology import bus_topology
-
+    def test_contended_bus_identical_with_and_without_one_call(
+        self, policy_name, lookup, monkeypatch
+    ):
         flat = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
         procs = [Processor(p.name, p.ptype) for p in flat]
         system = SystemConfig(
@@ -524,12 +486,13 @@ class TestArrayBackendAnchors:
             ),
         )
         dfg = paper_suite(2)[2]
-        obj = Simulator(system, lookup, backend="object").run(
-            dfg, get_policy(policy_name)
-        )
-        arr = Simulator(system, lookup, backend="array").run(
-            dfg, get_policy(policy_name)
-        )
-        assert list(arr.schedule) == list(obj.schedule)
-        assert arr.metrics == obj.metrics
-        assert arr.policy_stats == obj.policy_stats
+        sim = Simulator(system, lookup, profile=True)
+        once = sim.run(dfg, get_policy(policy_name))
+        once_selects = sim.last_profile["n_selects"]
+        monkeypatch.setattr(engine_module, "driver_is_batchable", lambda d: False)
+        looped = sim.run(dfg, get_policy(policy_name))
+        assert list(looped.schedule) == list(once.schedule)
+        assert looped.metrics == once.metrics
+        assert looped.policy_stats == once.policy_stats
+        # the loop pays one extra, empty call per productive instant
+        assert sim.last_profile["n_selects"] > once_selects

@@ -179,25 +179,21 @@ class TestBoundedMemory:
             peaks.append(out.stream.peak_resident_kernels)
         assert peaks[1] <= peaks[0] * 1.5
 
-    def test_200k_stream_recycles_kernel_table_rows(self, lookup):
-        """Array-backend bounded memory: a 200k-kernel retired stream
-        must reuse kernel-table rows via the free list — the table's
-        high-water mark stays at the resident window (hundreds of
-        rows), not the stream length."""
+    def test_200k_stream_retires_every_kernel(self, lookup):
+        """Bounded memory at length: every kernel of a 200k-kernel
+        stream completes and is retired, and the resident window stays
+        two-plus orders of magnitude below the stream length."""
         source = streaming_scale_source(200_000, seed=7)
-        sim = Simulator(scale_system(), lookup, backend="array")
+        sim = Simulator(scale_system(), lookup)
         out = sim.run_stream(source, get_policy("met"), retain_schedule=False)
         stats = out.stream
         assert stats.n_kernels >= 200_000
         assert stats.retired_kernels == stats.n_kernels
         prof = sim.last_profile
         assert prof is not None
-        # every completed kernel's row went back to the free list...
-        assert prof["rows_released"] == prof["n_completed"] == stats.n_kernels
-        assert prof["rows_in_use"] == 0
-        # ...and the table's high-water mark tracks the resident window
-        # (hundreds of rows), two-plus orders below the stream length
-        assert prof["kernel_table_rows"] <= stats.peak_resident_kernels
+        assert prof["n_completed"] == stats.n_kernels
+        # MET is called once per instant: never more calls than instants
+        assert 0 < prof["n_selects"] <= prof["n_epochs"] + 1
         assert stats.peak_resident_kernels <= stats.n_kernels // 50
 
     def test_200k_apt_stream_keeps_the_ready_index_bounded(self, lookup):
@@ -208,16 +204,18 @@ class TestBoundedMemory:
         policy call."""
 
         class WatchedAPT(APT):
+            batchable = True  # its select returns exactly APT's
+
             def reset(self) -> None:
                 super().reset()
                 self.calls = self.peak_ready = self.peak_heap = self.last_seq = 0
 
-            def select_batch(self, batch):
-                queue = batch.ready_queue
+            def select(self, ctx):
+                queue = ctx.ready_queue
                 # only insertions stamped after the previous call remain
                 assert not queue.added or queue.added[0] > self.last_seq
                 self.peak_ready = max(self.peak_ready, len(queue))
-                out = super().select_batch(batch)
+                out = super().select(ctx)
                 index = self._index
                 self.peak_heap = max(
                     self.peak_heap, *map(len, index.pmin), *map(len, index.alt)
@@ -229,7 +227,7 @@ class TestBoundedMemory:
 
         policy = WatchedAPT(alpha=4.0)
         source = streaming_scale_source(200_000, seed=7)
-        sim = Simulator(scale_system(), lookup, backend="array")
+        sim = Simulator(scale_system(), lookup)
         out = sim.run_stream(source, policy, retain_schedule=False)
         assert out.stream.n_kernels >= 200_000
         assert policy.calls > 0

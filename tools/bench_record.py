@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Record an engine-backend benchmark entry in ``BENCH_engine.json``.
+"""Record an engine benchmark entry in ``BENCH_engine.json``.
 
 ``BENCH_engine.json`` is the committed benchmark trajectory of the
-engine hot paths: every entry pins the git revision it was measured at,
-the scenario, the wall-clock of each engine and the speedups.  The
-trajectory documents how the hot paths evolved; CI's smoke benchmark
-(``benchmarks/test_bench_simulator_scale.py``) reads the last comparable
-entry for its scenario and fails when a measured speedup regresses more
-than 40 % below it.
+engine hot path: every entry pins the git revision it was measured at,
+the scenario, the wall-clock of the engine and of the reference loop,
+and their ratio.  The trajectory documents how the hot path evolved;
+CI's smoke benchmark (``benchmarks/test_bench_simulator_scale.py``)
+reads the committed entries for its scenario and fails when the measured
+speedup falls more than 40 % below the best of them.
 
 Usage::
 
@@ -15,24 +15,25 @@ Usage::
     python tools/bench_record.py --kernels 10000  # the saturated 10k entry
     python tools/bench_record.py --dry-run        # measure, don't append
     python tools/bench_record.py --scenario streaming_scale_1m \\
-        --no-baseline                             # lazy 1M stream, array only
+        --no-baseline                             # lazy 1M stream, engine only
 
 A revision is stamped ``<short-rev>+dirty`` when the worktree has
 uncommitted changes, so an entry recorded *before* its commit is
 identifiable as such (the first three trajectory entries predate this
 and carry the seed revision).
 
-Both backends are measured against the unchanged pre-refactor loop,
+The engine is measured against the unchanged pre-refactor loop,
 :class:`~repro.core.reference.ReferenceSimulator`, on the same scenario
-(its merged closed form).  The three engines run interleaved — one run
-of each per round — and each keeps its best round, so a slow spell on a
-shared machine hits all three alike.  ``speedup_vs_reference`` is the
-array backend's ratio, ``object_speedup_vs_reference`` the object
-backend's, and ``speedup_vs_object`` their quotient.
+(its merged closed form).  The two run interleaved — one run of each
+per round — and each keeps its best round, so a slow spell on a shared
+machine hits both alike.  ``speedup_vs_reference`` is their ratio.
+Entries from before the engine merge also carry the array backend's
+columns (``backend_wall_ms`` was the array engine, ``baseline_wall_ms``
+the object one).
 
-``--no-baseline`` skips the object and reference runs — at 100k kernels
-they take hours, so big entries record the array wall-clock (plus its
-profile counters) and leave the speedups to the smaller entries.
+``--no-baseline`` skips the reference run — at 100k kernels it takes
+hours, so big entries record the engine wall-clock (plus its work
+counters) and leave the speedups to the smaller entries.
 Wall-clock numbers are machine-dependent; the *speedup* columns are the
 portable quantity — every engine runs the identical simulation on the
 identical machine, so their ratios track algorithmic regressions, not
@@ -60,17 +61,11 @@ BENCH_FILE = _ROOT / "BENCH_engine.json"
 #: the streaming saturation scenario all trajectory entries share:
 #: Poisson application stream on the 12-processor scale system, APT,
 #: mean interarrival far below the service capacity so the ready set
-#: grows into the regime the array backend is built for.
+#: grows to thousands of kernels.
 SCENARIO_DEFAULTS = {"mean_interarrival_ms": 300.0, "seed": 42, "policy": "apt"}
 
-#: profile counters worth committing alongside big entries — the
-#: bounded-memory evidence (rows recycled vs table high-water mark).
-_PROFILE_KEYS = (
-    "n_epochs",
-    "events_per_epoch",
-    "kernel_table_rows",
-    "rows_released",
-)
+#: work counters committed alongside each entry
+_PROFILE_KEYS = ("n_epochs", "events_per_epoch", "n_selects")
 
 
 def git_rev() -> str:
@@ -103,15 +98,14 @@ def git_rev() -> str:
 def measure(
     n_kernels: int,
     repeats: int,
-    jit: "str | bool | None" = None,
     mean_interarrival_ms: float | None = None,
-    engines: "tuple[str, ...]" = ("reference", "array", "object"),
+    engines: "tuple[str, ...]" = ("reference", "engine"),
 ) -> "tuple[dict[str, float], dict | None]":
     """Best-of-``repeats`` wall-clock (ms) per engine, measured interleaved.
 
     Each round runs every engine in ``engines`` once, in order, so a
     slow spell on a shared machine lands on all of them.  Returns the
-    best times keyed by engine and the best array run's profile counters.
+    best times keyed by engine and the best engine run's work counters.
     """
     from repro.core.reference import ReferenceSimulator
     from repro.core.simulator import Simulator
@@ -130,7 +124,7 @@ def measure(
             mean_interarrival_ms or SCENARIO_DEFAULTS["mean_interarrival_ms"]
         ),
     }
-    # the backends run the lazy source, which replays streaming_scale_stream
+    # the engine runs the lazy source, which replays streaming_scale_stream
     # bit-for-bit but never holds the whole stream (a 1M-kernel run stays
     # bounded); the reference predates streaming and runs the merged form
     source = streaming_scale_source(**params)
@@ -147,13 +141,11 @@ def measure(
                 t0 = time.perf_counter()
                 ReferenceSimulator(system, lookup).run(dfg, policy, arrivals=arrivals)
             else:
-                sim = Simulator(
-                    system, lookup, backend=name, jit=jit if name == "array" else None
-                )
+                sim = Simulator(system, lookup)
                 t0 = time.perf_counter()
                 sim.run_stream(source, policy, retain_schedule=False)
             ms = (time.perf_counter() - t0) * 1000.0
-            if name == "array" and ms < best[name]:
+            if name == "engine" and ms < best[name]:
                 profile = sim.last_profile
             best[name] = min(best[name], ms)
     return best, profile
@@ -165,25 +157,11 @@ def load_entries() -> list[dict]:
     return json.loads(BENCH_FILE.read_text(encoding="utf-8"))["entries"]
 
 
-def last_entry_for(
-    scenario: str, jit: "bool | None" = None, key: str = "speedup_vs_reference"
-) -> dict | None:
-    """The most recent *comparable* committed entry for ``scenario``.
-
-    Comparable means it carries the measured speedup ``key``
-    (``--no-baseline`` entries document wall-clock only; entries before
-    the reference runs carry ``speedup_vs_object`` only) and, when
-    ``jit`` is given, was measured with the same jit state (entries
-    predating the jit field count as jit-off).
-    """
-    matching = [
-        e
-        for e in load_entries()
-        if e["scenario"] == scenario
-        and key in e
-        and (jit is None or bool(e.get("jit", False)) == jit)
-    ]
-    return matching[-1] if matching else None
+def comparable_entries(scenario: str, key: str = "speedup_vs_reference") -> list[dict]:
+    """The committed entries for ``scenario`` that carry ``key``, oldest
+    first (``--no-baseline`` entries document wall-clock only; entries
+    before the reference runs carry ``speedup_vs_object`` only)."""
+    return [e for e in load_entries() if e["scenario"] == scenario and key in e]
 
 
 def append_entry(entry: dict) -> None:
@@ -203,7 +181,6 @@ def scenario_name(
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.core._kernels import resolve_jit
     from repro.experiments.workloads import STREAM_SCENARIOS
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -216,15 +193,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=2)
     parser.add_argument(
-        "--jit",
-        default=None,
-        choices=("auto", "on", "off"),
-        help="array-backend jit kernels (default: $REPRO_JIT or 'auto')",
-    )
-    parser.add_argument(
         "--no-baseline",
         action="store_true",
-        help="skip the object and reference runs (big scenarios; no speedups)",
+        help="skip the reference run (big scenarios; no speedup)",
     )
     parser.add_argument(
         "--dry-run", action="store_true", help="measure and print, don't append"
@@ -238,30 +209,22 @@ def main(argv: list[str] | None = None) -> int:
         n_kernels = int(params["n_kernels"])
         interarrival = float(params["mean_interarrival_ms"])
     name = scenario_name(n_kernels, interarrival)
-    jit_active = resolve_jit(args.jit)
-    engines = ("array",) if args.no_baseline else ("reference", "array", "object")
+    engines = ("engine",) if args.no_baseline else ("reference", "engine")
     best, profile = measure(
-        n_kernels, args.repeats, jit=args.jit,
-        mean_interarrival_ms=interarrival, engines=engines,
+        n_kernels, args.repeats, mean_interarrival_ms=interarrival, engines=engines
     )
     entry = {
         "git_rev": git_rev(),
         "date": date.today().isoformat(),
         "scenario": name,
         "kernels": n_kernels,
-        "jit": jit_active,
-        "backend_wall_ms": round(best["array"], 1),
+        "engine_wall_ms": round(best["engine"], 1),
     }
     if args.no_baseline:
         entry["baseline"] = "none"
     else:
-        entry["baseline_wall_ms"] = round(best["object"], 1)
         entry["reference_wall_ms"] = round(best["reference"], 1)
-        entry["speedup_vs_object"] = round(best["object"] / best["array"], 2)
-        entry["speedup_vs_reference"] = round(best["reference"] / best["array"], 2)
-        entry["object_speedup_vs_reference"] = round(
-            best["reference"] / best["object"], 2
-        )
+        entry["speedup_vs_reference"] = round(best["reference"] / best["engine"], 2)
     if profile:
         entry["profile"] = {
             k: profile[k] for k in _PROFILE_KEYS if k in profile
