@@ -18,12 +18,16 @@ import os
 import time
 
 from benchmarks.conftest import write_artifact
+from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
 from repro.experiments.sweep import (
     PolicySpec,
     SweepEngine,
-    SweepSpec,
+    SweepJob,
     execute_payload,
+    make_job,
 )
+from repro.experiments.workloads import DEFAULT_SEED, paper_suite
 
 #: The Tables 8/9 policy lineup (α = 1.5 for APT, as published).
 TABLE_POLICIES = tuple(
@@ -32,13 +36,25 @@ TABLE_POLICIES = tuple(
 )
 
 
-def multi_table_spec() -> SweepSpec:
-    """The full Tables 8+9 grid: every policy on both 10-graph suites."""
-    return SweepSpec(policies=TABLE_POLICIES, dfg_types=(1, 2))
+def multi_table_jobs() -> list[SweepJob]:
+    """The full Tables 8+9 grid: every policy on both 10-graph suites.
+
+    One seed and one 4 Gb/s rate, ordered DFG type → policy → graph.
+    """
+    lookup = paper_lookup_table()
+    system = CPU_GPU_FPGA(transfer_rate_gbps=4.0)
+    jobs: list[SweepJob] = []
+    for dfg_type in (1, 2):
+        suite = paper_suite(dfg_type, DEFAULT_SEED)
+        for policy in TABLE_POLICIES:
+            for index, dfg in enumerate(suite):
+                tag = {"dfg_type": dfg_type, "policy": policy.name, "graph_index": index}
+                jobs.append(make_job(dfg, policy, system, lookup, tag=tag))
+    return jobs
 
 
 def test_bench_sweep_parallel_vs_serial(benchmark, local_results_dir):
-    jobs = multi_table_spec().expand()
+    jobs = multi_table_jobs()
     benchmark(lambda: execute_payload(jobs[0].runnable_payload()))
 
     t0 = time.perf_counter()
@@ -90,13 +106,13 @@ def test_bench_warm_cache_simulates_nothing(
     benchmark, local_results_dir, tmp_path_factory
 ):
     cache_dir = tmp_path_factory.mktemp("sweep-cache")
-    jobs = multi_table_spec().expand()
+    jobs = multi_table_jobs()
 
     t0 = time.perf_counter()
     cold_engine = SweepEngine(cache_dir=cache_dir)
     cold = cold_engine.run_jobs(jobs)
     t_cold = time.perf_counter() - t0
-    assert cold_engine.stats.simulated == len(jobs)
+    assert cold_engine.simulated == len(jobs)
 
     warm_engine = SweepEngine(cache_dir=cache_dir)
     warm = [None]
@@ -111,7 +127,8 @@ def test_bench_warm_cache_simulates_nothing(
 
     # A warm re-run performs zero new simulations and returns the exact
     # same results.
-    assert warm_engine.stats.simulated == 0
+    assert warm_engine.simulated == 0
+    assert warm_engine.store.misses == 0
     assert warm[0] == cold
 
     benchmark.extra_info["cold_s"] = round(t_cold, 3)
@@ -124,7 +141,7 @@ def test_bench_warm_cache_simulates_nothing(
                 "===========================================",
                 f"cold (simulating)  : {t_cold:.2f} s",
                 f"warm (cache only)  : {t_warm:.2f} s",
-                f"simulations on warm: {warm_engine.stats.simulated}",
+                f"simulations on warm: {warm_engine.simulated}",
             ]
         ),
     )

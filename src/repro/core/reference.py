@@ -22,12 +22,8 @@ from __future__ import annotations
 from repro.core.events import Event, EventKind, EventQueue
 from repro.core.metrics import compute_metrics
 from repro.core.schedule import Schedule, ScheduleEntry
-from repro.core.simulator import (
-    SchedulingError,
-    SimulationResult,
-    Simulator,
-    _ProcState,
-)
+from repro.core.engine import _ProcState
+from repro.core.simulator import SchedulingError, SimulationResult, Simulator
 from repro.core.trace import StateTrace
 from repro.graphs.dfg import DFG
 from repro.policies.base import (

@@ -129,15 +129,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.core.cost import VALID_TRANSFER_MODES, CostModel
-from repro.core.dynamics import (  # noqa: F401 - _ResidentGraph re-export
+from repro.core.cost import CostModel
+from repro.core.dynamics import (
     BatchAdmission,
     ContentionDynamics,
     DynamicsSpec,
     MetricsDynamics,
     RetirementDynamics,
     StreamAdmission,
-    _ResidentGraph,
     build_dynamics,
 )
 from repro.core.energy import (
@@ -153,10 +152,6 @@ from repro.core.engine import (
     SchedulingError,
     resolve_backend,
 )
-
-# Backward-compatible re-exports: these engine internals lived here
-# before the engine/dynamics split (ReferenceSimulator imports them).
-from repro.core.engine import _ProcState, _ReadyQueue  # noqa: F401
 from repro.core.lookup import LookupTable
 from repro.core.metrics import (
     ServiceMetrics,
@@ -171,10 +166,6 @@ from repro.core.trace import StateTrace
 from repro.graphs.dfg import DFG
 from repro.policies.base import DynamicPolicy, Policy, StaticPolicy
 from repro.policies.plan import PlanDispatcher
-
-_VALID_TRANSFER_MODES = VALID_TRANSFER_MODES  # re-export (back-compat)
-#: Historical private name; the dispatcher now lives in repro.policies.plan.
-_PlanDispatcher = PlanDispatcher
 
 __all__ = [
     "ENGINE_BACKENDS",

@@ -2,8 +2,9 @@
 
 * :mod:`repro.experiments.workloads` — the seeded 10-graph evaluation
   suites for DFG Type-1 and Type-2;
-* :mod:`repro.experiments.sweep` — the parallel sweep engine: declarative
-  job grids, serial/multiprocessing executors, content-hash result cache;
+* :mod:`repro.experiments.sweep` — the sweep engine: serializable jobs,
+  inline or ``multiprocessing`` batch execution, and the content-hash
+  result store it shares with the service;
 * :mod:`repro.experiments.runner` — policy × graph × α × transfer-rate
   sweeps on top of the engine;
 * :mod:`repro.experiments.tables` — Tables 8–13, 15, 16;
@@ -27,7 +28,6 @@ from repro.experiments.sweep import (
     SimSettings,
     SweepEngine,
     SweepJob,
-    SweepSpec,
     make_job,
 )
 from repro.experiments.report import TableResult, FigureResult, render_table, render_figure
@@ -46,7 +46,6 @@ __all__ = [
     "SimSettings",
     "SweepEngine",
     "SweepJob",
-    "SweepSpec",
     "make_job",
     "TableResult",
     "FigureResult",

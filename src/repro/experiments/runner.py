@@ -7,9 +7,10 @@ times (e.g. MET appears in Tables 8–13), results are memoized at two
 levels:
 
 * an in-memory record memo per runner (same object returned twice), and
-* the :class:`~repro.experiments.sweep.SweepEngine` beneath it, which
-  adds an optional on-disk JSON cache keyed by a content hash of
-  (DFG, system, lookup table, policy config, simulation settings) and a
+* the :class:`~repro.experiments.sweep.SweepEngine` beneath it, whose
+  result store (memory over an optional on-disk JSON cache) is keyed by
+  a content hash of (DFG, system, lookup table, policy config,
+  simulation settings), and which runs misses over a
   ``multiprocessing`` worker pool for parallel sweeps.
 
 Suite-level calls (:meth:`ExperimentRunner.run_suite`,
@@ -90,8 +91,8 @@ class ExperimentRunner:
         found there are not re-simulated (even across processes and
         sessions).
     use_cache:
-        ``False`` disables both the engine's memo layers (the runner's
-        own record memo stays, preserving object-identity semantics).
+        ``False`` drops the engine's result store (the runner's own
+        record memo stays, preserving object-identity semantics).
     """
 
     def __init__(

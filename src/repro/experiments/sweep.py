@@ -1,4 +1,4 @@
-"""Parallel experiment-sweep engine with on-disk result caching.
+"""Experiment-sweep engine with a content-hash result store.
 
 Every table, figure, ablation and extension study in this repository
 boils down to the same unit of work: *simulate one DFG on one system
@@ -14,13 +14,13 @@ turns that unit into a first-class, serializable **job** and provides
 * :class:`ResultCache` — an on-disk JSON store keyed by the job's
   content hash, so re-running a table or figure only simulates what
   changed;
-* :class:`SerialExecutor` / :class:`ProcessPoolExecutor` — pluggable
-  execution backends; the pool backend fans jobs out over a
-  ``multiprocessing`` worker pool;
-* :class:`SweepEngine` — orchestration: dedupe → cache lookup →
-  execute missing jobs → write back, preserving request order;
-* :class:`SweepSpec` — a declarative policy × workload × system ×
-  seed grid that expands into jobs.
+* :class:`SharedResultStore` — an in-memory layer over an optional
+  :class:`ResultCache`; the one store both the sweep engine and the
+  scenario service read and write;
+* :func:`run_payloads` — run a batch of payloads inline or over a
+  ``multiprocessing`` pool, in input order;
+* :class:`SweepEngine` — orchestration: dedupe → store lookup →
+  execute missing jobs → write back, preserving request order.
 
 Determinism contract
 --------------------
@@ -39,18 +39,20 @@ import hashlib
 import importlib
 import json
 import multiprocessing
+import numbers
 import os
 import tempfile
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 try:  # pragma: no cover - fcntl is stdlib on every POSIX platform
     import fcntl
 except ImportError:  # pragma: no cover - Windows fallback: locking no-ops
     fcntl = None  # type: ignore[assignment]
 
+from repro.core.cost import VALID_TRANSFER_MODES
 from repro.core.dynamics import DynamicsSpec
 from repro.core.energy import DEFAULT_POWER_MODEL, PowerModel, energy_of
 
@@ -115,6 +117,19 @@ class SimSettings:
     exec_noise_sigma: float = 0.0
     noise_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.element_size < 1:
+            raise ValueError(f"element_size must be >= 1, got {self.element_size}")
+        if self.transfer_mode not in VALID_TRANSFER_MODES:
+            raise ValueError(
+                f"transfer_mode must be one of {VALID_TRANSFER_MODES}, "
+                f"got {self.transfer_mode!r}"
+            )
+        if not self.exec_noise_sigma >= 0.0:  # also rejects NaN
+            raise ValueError(
+                f"exec_noise_sigma must be >= 0, got {self.exec_noise_sigma}"
+            )
+
     def cost_model_dict(self) -> dict[str, object]:
         """The cost-model signature (matches ``CostModel.signature()``)."""
         return {
@@ -135,13 +150,28 @@ class SimSettings:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "SimSettings":
+        """Parse outside input (payloads, scenario JSON, service overrides).
+
+        Types are checked, not coerced: ``"false"`` is not a boolean and
+        ``1.7`` is not an integer.  Numbers are normalized to ``int`` /
+        ``float``, so an integral ``exec_noise_sigma`` of ``0`` hashes
+        like ``0.0``.
+        """
         return cls(
-            element_size=int(data["element_size"]),  # type: ignore[arg-type]
-            transfer_mode=str(data["transfer_mode"]),
-            transfers_enabled=bool(data["transfers_enabled"]),
-            exec_noise_sigma=float(data["exec_noise_sigma"]),  # type: ignore[arg-type]
-            noise_seed=int(data["noise_seed"]),  # type: ignore[arg-type]
+            element_size=int(_typed(data, "element_size", numbers.Integral, "an integer")),
+            transfer_mode=_typed(data, "transfer_mode", str, "a string"),
+            transfers_enabled=_typed(data, "transfers_enabled", bool, "a boolean"),
+            exec_noise_sigma=float(_typed(data, "exec_noise_sigma", numbers.Real, "a number")),
+            noise_seed=int(_typed(data, "noise_seed", numbers.Integral, "an integer")),
         )
+
+
+def _typed(data: Mapping[str, object], key: str, kind: type, what: str) -> Any:
+    """``data[key]``, which must be a ``kind`` (a bool only if ``kind`` is bool)."""
+    value = data[key]
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -613,106 +643,24 @@ def execute_payload(payload: Mapping[str, object]) -> dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# executors
+# execution
 # ----------------------------------------------------------------------
-#: Progress hook: called as ``progress(done, total)`` after each payload
-#: completes (and, at the engine level, once for the cache-hit batch).
-ProgressHook = Callable[[int, int], None]
+def run_payloads(
+    payloads: Sequence[Mapping[str, object]], workers: int = 1
+) -> list[dict[str, object]]:
+    """Execute payloads and return their result records in input order.
 
-#: Cancellation hook: polled between payloads; truthy → stop the sweep.
-CancelHook = Callable[[], bool]
-
-
-class SweepCancelled(RuntimeError):
-    """Raised when a sweep stops at a cancellation point.
-
-    Carries how much work finished before the stop plus the result
-    records produced so far (``partial``, in payload order), so callers
-    up the stack can still cache completed work: a cancelled sweep is
-    never lost work, and a re-run resumes from the cache.
+    One worker or one payload runs inline (no pool startup cost);
+    otherwise the batch fans out over a ``multiprocessing`` pool with
+    ``chunksize=1`` — jobs vary widely in cost (46..157-kernel graphs),
+    so fine-grained dispatch load-balances the pool.  A worker
+    exception propagates to the caller: a sweep never silently returns
+    partial or fabricated results.
     """
-
-    def __init__(
-        self,
-        done: int,
-        total: int,
-        partial: Sequence[Mapping[str, object]] = (),
-    ) -> None:
-        super().__init__(f"sweep cancelled after {done}/{total} jobs")
-        self.done = done
-        self.total = total
-        self.partial = list(partial)
-
-
-class SerialExecutor:
-    """Run jobs one after another in the calling process."""
-
-    workers = 1
-
-    def run(
-        self,
-        payloads: Sequence[Mapping[str, object]],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[dict[str, object]]:
-        total = len(payloads)
-        results: list[dict[str, object]] = []
-        for payload in payloads:
-            if cancel is not None and cancel():
-                raise SweepCancelled(len(results), total, partial=results)
-            results.append(execute_payload(payload))
-            if progress is not None:
-                progress(len(results), total)
-        return results
-
-
-class ProcessPoolExecutor:
-    """Fan jobs out over a ``multiprocessing`` pool.
-
-    A worker exception cancels the batch and propagates to the caller —
-    a sweep never silently returns partial or fabricated results.
-    Batches of one job (or ``workers=1``) run inline to skip pool
-    startup cost.
-
-    ``cancel`` is polled between completed payloads; when it fires the
-    pool is torn down (in-flight workers are terminated by the context
-    manager) and :class:`SweepCancelled` propagates with the count of
-    payloads that completed first.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-
-    def run(
-        self,
-        payloads: Sequence[Mapping[str, object]],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[dict[str, object]]:
-        if self.workers == 1 or len(payloads) <= 1:
-            return SerialExecutor().run(payloads, progress=progress, cancel=cancel)
-        total = len(payloads)
-        if cancel is not None and cancel():
-            raise SweepCancelled(0, total)
-        ctx = multiprocessing.get_context()
-        results: list[dict[str, object]] = []
-        with ctx.Pool(processes=min(self.workers, total)) as pool:
-            # chunksize=1: jobs vary widely in cost (46..157-kernel graphs),
-            # so fine-grained dispatch load-balances the pool.  imap (not
-            # map) keeps the parent in the loop between completions — the
-            # seam where progress is reported and cancellation observed.
-            # imap preserves input order, so ``results[:n]`` always pairs
-            # with ``payloads[:n]`` — the invariant SweepCancelled.partial
-            # relies on.
-            for record in pool.imap(execute_payload, list(payloads), chunksize=1):
-                results.append(record)
-                if progress is not None:
-                    progress(len(results), total)
-                if cancel is not None and cancel() and len(results) < total:
-                    raise SweepCancelled(len(results), total, partial=results)
-        return results
+    if workers == 1 or len(payloads) <= 1:
+        return [execute_payload(payload) for payload in payloads]
+    with multiprocessing.get_context().Pool(min(workers, len(payloads))) as pool:
+        return pool.map(execute_payload, payloads, chunksize=1)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -869,25 +817,79 @@ class ResultCache:
         return n
 
 
+class SharedResultStore:
+    """Content-hash keyed result records: a memory dict over a disk cache.
+
+    The one result store of the repository.  The sweep engine keeps one
+    per engine; the scenario service keeps one per server, so a million
+    identical submissions cost one simulation.  Processes pointed at the
+    same ``store_dir`` serve each other's results bit-identically.
+
+    Values are the raw result-record dicts exactly as
+    :func:`execute_payload` returns them, so a store hit and a fresh
+    simulation are indistinguishable.
+
+    Parameters
+    ----------
+    store_dir:
+        Optional directory for the persistent :class:`ResultCache`
+        layer.  Without it the store is memory-only.
+    """
+
+    def __init__(self, store_dir: str | Path | None = None) -> None:
+        self._memory: dict[str, dict[str, object]] = {}
+        self.disk = ResultCache(store_dir) if store_dir else None
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
+
+    def get(self, key: str) -> dict[str, object] | None:
+        """Look up a result record, memory first, then disk."""
+        record = self._memory.get(key)
+        if record is None and self.disk is not None:
+            record = self.disk.get(key)
+            if record is not None:
+                self._memory[key] = record
+        if record is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return record
+
+    def put(self, key: str, record: Mapping[str, object]) -> None:
+        """Store a fresh result record in every layer."""
+        data = dict(record)
+        self._memory[key] = data
+        if self.disk is not None:
+            self.disk.put(key, data)
+        self.puts += 1
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._memory or (self.disk is not None and key in self.disk)
+
+    def __len__(self) -> int:
+        if self.disk is not None:
+            return len(self.disk)
+        return len(self._memory)
+
+    def stats(self) -> dict[str, object]:
+        """The counters (plus the disk index, if any), as ``GET /stats`` shows them."""
+        out: dict[str, object] = {
+            "hits": self.hits,
+            "misses": self.misses,
+            "puts": self.puts,
+            "memory_entries": len(self._memory),
+        }
+        if self.disk is not None:
+            out["disk"] = self.disk.stats()
+        return out
+
+
 # ----------------------------------------------------------------------
 # engine
 # ----------------------------------------------------------------------
-@dataclass
-class SweepStats:
-    """Cumulative cache/execution counters of a :class:`SweepEngine`."""
-
-    requested: int = 0
-    memory_hits: int = 0
-    disk_hits: int = 0
-    simulated: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-
 class SweepEngine:
-    """Orchestrates sweep execution: dedupe → cache → execute → store.
+    """Orchestrates sweep execution: dedupe → store → execute → store.
 
     Parameters
     ----------
@@ -895,11 +897,14 @@ class SweepEngine:
         Worker-pool size for missing jobs.  ``1`` (default) runs
         serially; ``None`` or ``<= 0`` uses every core.
     cache_dir:
-        Optional directory for the persistent :class:`ResultCache`.
-        Without it, only the in-memory memo (per engine) applies.
+        Optional directory for the store's persistent layer.  Without
+        it, results are remembered in memory for this engine only.
     use_cache:
-        Master switch; ``False`` disables both memo layers, so every
-        requested job simulates.
+        ``False`` drops the store, so every requested job simulates
+        (duplicates within one batch still simulate once).
+
+    ``simulated`` counts the jobs this engine has executed; the store's
+    ``hits``/``misses``/``puts`` count the rest.
     """
 
     def __init__(
@@ -908,154 +913,36 @@ class SweepEngine:
         cache_dir: str | Path | None = None,
         use_cache: bool = True,
     ) -> None:
-        self.executor = ProcessPoolExecutor(resolve_workers(workers))
-        self.use_cache = bool(use_cache)
-        self.disk = ResultCache(cache_dir) if (cache_dir and self.use_cache) else None
-        self._memory: dict[str, JobResult] = {}
-        self.stats = SweepStats()
+        self.workers = resolve_workers(workers)
+        self.store = SharedResultStore(cache_dir) if use_cache else None
+        self.simulated = 0
 
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
-
-    def run_jobs(
-        self,
-        jobs: Sequence[SweepJob],
-        progress: ProgressHook | None = None,
-        cancel: CancelHook | None = None,
-    ) -> list[JobResult]:
+    def run_jobs(self, jobs: Sequence[SweepJob]) -> list[JobResult]:
         """Execute (or recall) every job, preserving request order.
 
-        Duplicate jobs within a batch are simulated once.  Results of
-        fresh simulations are written to both cache layers.
-
-        ``progress`` is called as ``progress(done, total)`` over the
-        *deduplicated* work: once after the cache-resolution phase
-        (counting every hit at once) and once per executed payload.
-        ``cancel`` is polled between payloads; a truthy return raises
-        :class:`SweepCancelled` — results already produced stay cached,
-        so a re-run resumes where the cancellation landed.
+        Duplicate jobs within a batch are simulated once; fresh results
+        are written to the store.
         """
         hashes = [job.content_hash() for job in jobs]
-        self.stats.requested += len(jobs)
         resolved: dict[str, JobResult] = {}
-        pending: list[tuple[str, SweepJob]] = []
-        pending_keys: set[str] = set()
+        pending: dict[str, SweepJob] = {}
         for key, job in zip(hashes, jobs):
-            if key in resolved or key in pending_keys:
-                self.stats.memory_hits += 1
+            if key in resolved or key in pending:
                 continue
-            if self.use_cache:
-                cached = self._memory.get(key)
-                if cached is not None:
-                    resolved[key] = cached
-                    self.stats.memory_hits += 1
-                    continue
-                if self.disk is not None:
-                    record = self.disk.get(key)
-                    if record is not None:
-                        result = JobResult.from_dict(record)
-                        resolved[key] = result
-                        self._memory[key] = result
-                        self.stats.disk_hits += 1
-                        continue
-            pending.append((key, job))
-            pending_keys.add(key)
-        total = len(resolved) + len(pending)
-        if progress is not None and resolved:
-            progress(len(resolved), total)
-        if pending:
-            hits = len(resolved)
-
-            def _executor_progress(done: int, _total: int) -> None:
-                if progress is not None:
-                    progress(hits + done, total)
-
-            payloads = [job.runnable_payload() for _, job in pending]
-            try:
-                outputs = self.executor.run(
-                    payloads, progress=_executor_progress, cancel=cancel
-                )
-            except SweepCancelled as exc:
-                # cancelled mid-batch: completed payloads are still real
-                # results — cache them so a re-run resumes, not restarts.
-                self.stats.simulated += exc.done
-                if self.use_cache:
-                    for (key, _), record in zip(pending, exc.partial):
-                        self._memory[key] = JobResult.from_dict(record)
-                        if self.disk is not None:
-                            self.disk.put(key, record)
-                raise SweepCancelled(
-                    hits + exc.done, total, partial=exc.partial
-                ) from None
-            self.stats.simulated += len(outputs)
-            for (key, _), record in zip(pending, outputs):
-                result = JobResult.from_dict(record)
-                resolved[key] = result
-                if self.use_cache:
-                    self._memory[key] = result
-                    if self.disk is not None:
-                        self.disk.put(key, record)
+            record = self.store.get(key) if self.store is not None else None
+            if record is None:
+                pending[key] = job
+            else:
+                resolved[key] = JobResult.from_dict(record)
+        outputs = run_payloads(
+            [job.runnable_payload() for job in pending.values()], self.workers
+        )
+        self.simulated += len(outputs)
+        for key, record in zip(pending, outputs):
+            resolved[key] = JobResult.from_dict(record)
+            if self.store is not None:
+                self.store.put(key, record)
         return [resolved[key] for key in hashes]
-
-    def run(self, spec: "SweepSpec", lookup: LookupTable | None = None) -> list[JobResult]:
-        """Expand a declarative spec and run the resulting grid."""
-        return self.run_jobs(spec.expand(lookup))
-
-
-# ----------------------------------------------------------------------
-# declarative grid
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SweepSpec:
-    """A declarative policy × workload × system-config × seed grid.
-
-    ``expand`` materializes the grid into independent :class:`SweepJob`
-    items in a deterministic order (seed-major, then DFG type, rate,
-    policy, graph).  Each job's ``tag`` records its grid coordinates.
-    """
-
-    policies: tuple[PolicySpec, ...]
-    dfg_types: tuple[int, ...] = (1,)
-    seeds: tuple[int, ...] = ()
-    rates_gbps: tuple[float, ...] = (4.0,)
-    n_graphs: int | None = None
-    settings: SimSettings = SimSettings()
-
-    def expand(self, lookup: LookupTable | None = None) -> list[SweepJob]:
-        from repro.core.system import CPU_GPU_FPGA
-        from repro.data.paper_tables import paper_lookup_table
-        from repro.experiments.workloads import DEFAULT_SEED, paper_suite
-
-        lookup = lookup if lookup is not None else paper_lookup_table()
-        seeds = self.seeds or (DEFAULT_SEED,)
-        jobs: list[SweepJob] = []
-        for seed in seeds:
-            for dfg_type in self.dfg_types:
-                suite = paper_suite(dfg_type, seed)
-                if self.n_graphs is not None:
-                    suite = suite[: self.n_graphs]
-                for rate in self.rates_gbps:
-                    system = CPU_GPU_FPGA(transfer_rate_gbps=rate)
-                    for policy in self.policies:
-                        for index, dfg in enumerate(suite):
-                            jobs.append(
-                                make_job(
-                                    dfg,
-                                    policy,
-                                    system,
-                                    lookup,
-                                    settings=self.settings,
-                                    tag={
-                                        "seed": seed,
-                                        "dfg_type": dfg_type,
-                                        "rate_gbps": rate,
-                                        "policy": policy.name,
-                                        "graph_index": index,
-                                    },
-                                )
-                            )
-        return jobs
 
 
 __all__ = [
@@ -1065,19 +952,16 @@ __all__ = [
     "PolicySpec",
     "SweepJob",
     "JobResult",
-    "SweepSpec",
-    "SweepStats",
-    "SweepCancelled",
     "SweepEngine",
-    "SerialExecutor",
-    "ProcessPoolExecutor",
     "FileLock",
     "ResultCache",
+    "SharedResultStore",
     "app_spans_to_payload",
     "execute_payload",
     "job_hash",
     "make_job",
     "resolve_workers",
+    "run_payloads",
     "system_to_dict",
     "system_from_dict",
     "power_model_to_dict",

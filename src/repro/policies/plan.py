@@ -6,8 +6,7 @@ needs a *dynamic* driver that dispatches the plan against live system
 state.  That driver is :class:`PlanDispatcher` — it is a
 :class:`~repro.policies.base.DynamicPolicy` like any other, not engine
 internals, which is why it lives here rather than in
-:mod:`repro.core.simulator` (where it is still re-exported under its
-historical ``_PlanDispatcher`` name for backward compatibility).
+:mod:`repro.core.simulator`.
 """
 
 from __future__ import annotations

@@ -1,84 +1,17 @@
 """Cross-request shared result store.
 
-The sweep engine's :class:`~repro.experiments.sweep.ResultCache` is
-per-engine plumbing; the service promotes it to a *shared* store: one
-store instance (optionally disk-backed) serves every job the manager
-runs, so a million identical submissions cost one simulation — and two
+:class:`SharedResultStore` is defined beside
+:class:`~repro.experiments.sweep.ResultCache` in
+:mod:`repro.experiments.sweep`, because the sweep engine uses the same
+store; this module names it for the service.  One store instance
+(optionally disk-backed) serves every job the manager runs, and two
 server instances pointed at the same ``store_dir`` serve each other's
 results bit-identically (property-tested in
 ``tests/test_service_store.py``).
-
-Layering: in-memory dict (always) over :class:`ResultCache` (when a
-directory is given).  Keys are sweep content hashes; values are the
-raw result-record dicts exactly as :func:`execute_payload` returns
-them, so a store hit and a fresh simulation are indistinguishable.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Mapping
-
-from repro.experiments.sweep import ResultCache
+from repro.experiments.sweep import SharedResultStore
 
 __all__ = ["SharedResultStore"]
-
-
-class SharedResultStore:
-    """Content-hash keyed result records shared across requests.
-
-    Parameters
-    ----------
-    store_dir:
-        Optional directory for the persistent layer.  Without it the
-        store is memory-only — still shared across every job of one
-        server process, but not across processes or restarts.
-    """
-
-    def __init__(self, store_dir: str | Path | None = None) -> None:
-        self._memory: dict[str, dict[str, object]] = {}
-        self.disk = ResultCache(store_dir) if store_dir else None
-        self.hits = 0
-        self.misses = 0
-        self.puts = 0
-
-    def get(self, key: str) -> dict[str, object] | None:
-        """Look up a result record, memory first, then disk."""
-        record = self._memory.get(key)
-        if record is None and self.disk is not None:
-            record = self.disk.get(key)
-            if record is not None:
-                self._memory[key] = record
-        if record is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
-
-    def put(self, key: str, record: Mapping[str, object]) -> None:
-        """Store a fresh result record in every layer."""
-        data = dict(record)
-        self._memory[key] = data
-        if self.disk is not None:
-            self.disk.put(key, data)
-        self.puts += 1
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._memory or (self.disk is not None and key in self.disk)
-
-    def __len__(self) -> int:
-        if self.disk is not None:
-            return len(self.disk)
-        return len(self._memory)
-
-    def stats(self) -> dict[str, object]:
-        """Counters for ``GET /stats`` (plus the disk index, if any)."""
-        out: dict[str, object] = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "memory_entries": len(self._memory),
-        }
-        if self.disk is not None:
-            out["disk"] = self.disk.stats()
-        return out

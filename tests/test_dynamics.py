@@ -366,13 +366,6 @@ class TestCustomLayers:
         )
         assert not down.idle
 
-    def test_plan_dispatcher_backward_compat(self):
-        from repro.core.simulator import _PlanDispatcher
-        from repro.policies import PlanDispatcher
-        from repro.policies.plan import PlanDispatcher as FromModule
-
-        assert _PlanDispatcher is PlanDispatcher is FromModule
-
 
 # ----------------------------------------------------------------------
 # sweep-engine integration
@@ -403,19 +396,15 @@ class TestSweepIntegration:
         assert faulty.content_hash() != other.content_hash()
 
     def test_cross_process_determinism(self, lookup):
-        from repro.experiments.sweep import (
-            ProcessPoolExecutor,
-            SerialExecutor,
-            execute_payload,
-        )
+        from repro.experiments.sweep import execute_payload, run_payloads
 
         job = self.make_jobs(
             lookup, [DynamicsSpec.of("fault", mttf_ms=9000.0, mttr_ms=500.0, seed=3)]
         )
         payloads = [job.runnable_payload()] * 2
-        serial = SerialExecutor().run(payloads)
+        serial = run_payloads(payloads, workers=1)
         assert serial[0] == serial[1]
-        parallel = ProcessPoolExecutor(2).run(payloads)
+        parallel = run_payloads(payloads, workers=2)
         assert parallel == serial
         record = execute_payload(job.runnable_payload())
         assert record["dynamics"] == ["fault"]

@@ -97,12 +97,11 @@ class TestExecution:
     def test_rerun_hits_the_cache(self, tmp_path):
         engine = SweepEngine(cache_dir=tmp_path)
         run_scenario("edge_cluster_bus", engine=engine)
-        simulated_first = engine.stats.simulated
-        assert simulated_first > 0
+        assert engine.simulated > 0
         fresh = SweepEngine(cache_dir=tmp_path)
         outcome = run_scenario("edge_cluster_bus", engine=fresh)
-        assert fresh.stats.simulated == 0
-        assert fresh.stats.disk_hits == len(outcome.results)
+        assert fresh.simulated == 0
+        assert fresh.store.hits == len(outcome.results)
 
     def test_contention_flag_changes_the_cache_key(self):
         # Same graph shape, contention toggled: jobs must never share a

@@ -355,6 +355,39 @@ class TestJobManager:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"transfers_enabled": "false"},
+            {"transfers_enabled": 0},
+            {"noise_seed": 1.7},
+            {"noise_seed": True},
+            {"element_size": "4"},
+            {"element_size": 0},
+            {"transfer_mode": "bogus"},
+            {"exec_noise_sigma": -1.0},
+            {"exec_noise_sigma": "0.1"},
+        ],
+    )
+    def test_invalid_settings_override_is_a_400(self, override):
+        request = SubmitRequest.from_dict({"scenario": "paper_type1", "settings": override})
+        with pytest.raises(ProtocolError, match="invalid settings") as exc:
+            self.manager().resolve_spec(request)
+        assert exc.value.status == 400
+
+    def test_valid_settings_override_hashes_as_before(self):
+        # integral sigma and explicit defaults parse to the same values
+        defaults = {"exec_noise_sigma": 0, "element_size": 4, "transfers_enabled": True}
+        manager = self.manager()
+        plain = manager.resolve_spec(SubmitRequest.from_dict({"spec": tiny_spec()}))
+        explicit = manager.resolve_spec(
+            SubmitRequest.from_dict({"spec": tiny_spec(), "settings": defaults})
+        )
+        assert explicit.settings == plain.settings
+        assert [j.content_hash() for j in explicit.jobs()] == [
+            j.content_hash() for j in plain.jobs()
+        ]
+
     def test_settings_override_changes_the_cache_key(self):
         async def scenario():
             manager = self.manager()
@@ -438,6 +471,15 @@ class TestServiceHTTP:
             except urllib.error.HTTPError as exc:
                 raised = exc.code
             assert raised == 400
+
+    def test_invalid_settings_override_returns_400(self):
+        with run_service(slots=1) as server:
+            client = ServiceClient(server.address)
+            for override in ({"transfers_enabled": "false"}, {"element_size": 0}):
+                status, body = client.submit(spec=tiny_spec(), settings=override)
+                assert status == 400
+                assert "invalid settings" in body["error"]
+            assert client.stats()[1]["jobs"]["submitted"] == 0
 
     def test_queue_full_returns_429(self):
         with run_service(slots=1, queue_limit=1) as server:

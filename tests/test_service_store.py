@@ -7,11 +7,14 @@ Two invariants the service API leans on:
   (hypothesis-driven over arbitrary row lists and limits).
 * **Cross-instance cache sharing** — two server instances pointed at
   the same ``store_dir`` serve bit-identical rows: the second instance
-  performs zero simulations and answers entirely from disk.
+  performs zero simulations and answers entirely from disk.  The sweep
+  engine uses the same store class, so a sweep's cache directory warms
+  the service too.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from pathlib import Path
 
@@ -20,10 +23,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.system import CPU_GPU_FPGA
+from repro.data.paper_tables import paper_lookup_table
+from repro.experiments import sweep
 from repro.experiments.scenarios import ScenarioSpec, WorkloadSpec
-from repro.experiments.sweep import SWEEP_FORMAT_VERSION, PolicySpec, system_to_dict
+from repro.experiments.sweep import (
+    SWEEP_FORMAT_VERSION,
+    PolicySpec,
+    SweepEngine,
+    system_to_dict,
+)
 from repro.service.client import ServiceClient
-from repro.service.protocol import ProtocolError, paginate
+from repro.service.jobs import JobManager, JobRecord
+from repro.service.protocol import ProtocolError, SubmitRequest, paginate
 from repro.service.server import run_service
 from repro.service.store import SharedResultStore
 
@@ -157,3 +168,32 @@ class TestCrossInstanceSharing:
         assert job_b["store_hits"] == 2
         # bit-identical: same JSON serialisation, not just same floats.
         assert json.dumps(rows_a, sort_keys=True) == json.dumps(rows_b, sort_keys=True)
+
+
+# ----------------------------------------------------------------------
+# one store, both front ends
+# ----------------------------------------------------------------------
+class TestOneStoreForSweepAndService:
+    def test_service_store_is_the_sweep_store(self) -> None:
+        assert SharedResultStore is sweep.SharedResultStore
+
+    def test_service_answers_a_sweeps_results_from_the_store(
+        self, tmp_path: Path
+    ) -> None:
+        spec = ScenarioSpec.from_dict(_spec())
+        results = SweepEngine(cache_dir=tmp_path).run_jobs(
+            spec.jobs(paper_lookup_table())
+        )
+
+        async def serve() -> JobRecord:
+            manager = JobManager(store=SharedResultStore(tmp_path))
+            record = manager.submit(SubmitRequest.from_dict({"spec": spec.to_dict()}))
+            final = await manager.wait(record.id)
+            await manager.close()
+            return final
+
+        final = asyncio.run(serve())
+        assert final.state == "done"
+        assert final.simulated == 0
+        assert final.store_hits == final.total == len(results)
+        assert final.rows == [r.to_dict() for r in results]

@@ -23,7 +23,6 @@ from repro.experiments.sweep import (
     SimSettings,
     SweepEngine,
     SweepJob,
-    SweepSpec,
     execute_payload,
     hash_payload,
     make_job,
@@ -158,16 +157,16 @@ class TestSweepEngine:
         engine = SweepEngine()
         job = job_of(lookup, system)
         first = engine.run_jobs([job])
-        assert engine.stats.simulated == 1
+        assert engine.simulated == 1
         second = engine.run_jobs([job_of(lookup, system)])
-        assert engine.stats.simulated == 1
-        assert engine.stats.memory_hits == 1
+        assert engine.simulated == 1
+        assert (engine.store.hits, engine.store.misses, engine.store.puts) == (1, 1, 1)
         assert first == second
 
     def test_duplicates_within_batch_simulate_once(self, lookup, system):
         engine = SweepEngine()
         results = engine.run_jobs([job_of(lookup, system), job_of(lookup, system)])
-        assert engine.stats.simulated == 1
+        assert engine.simulated == 1
         assert results[0] == results[1]
 
     def test_warm_disk_cache_performs_zero_simulations(self, lookup, system, tmp_path):
@@ -178,20 +177,22 @@ class TestSweepEngine:
         ]
         cold = SweepEngine(cache_dir=tmp_path)
         expected = cold.run_jobs(jobs)
-        assert cold.stats.simulated == len(jobs)
+        assert cold.simulated == len(jobs)
+        assert cold.store.puts == len(jobs)
 
         warm = SweepEngine(cache_dir=tmp_path, workers=4)
         got = warm.run_jobs(jobs)
-        assert warm.stats.simulated == 0
-        assert warm.stats.disk_hits == len(jobs)
+        assert warm.simulated == 0
+        assert (warm.store.hits, warm.store.misses) == (len(jobs), 0)
         assert got == expected
 
     def test_use_cache_false_always_simulates(self, lookup, system):
         engine = SweepEngine(use_cache=False)
         job = job_of(lookup, system)
+        engine.run_jobs([job, job])  # within one batch, duplicates run once
         engine.run_jobs([job])
-        engine.run_jobs([job])
-        assert engine.stats.simulated == 2
+        assert engine.simulated == 2
+        assert engine.store is None
 
     def test_parallel_bit_identical_to_serial(self, lookup, system):
         jobs = [
@@ -254,29 +255,6 @@ class TestSweepEngine:
         assert resolve_workers(0) >= 1
 
 
-class TestSweepSpec:
-    def test_expand_covers_grid(self):
-        spec = SweepSpec(
-            policies=(PolicySpec.of("apt", alpha=4.0), PolicySpec.of("met")),
-            dfg_types=(1, 2),
-            rates_gbps=(4.0, 8.0),
-            n_graphs=3,
-        )
-        jobs = spec.expand()
-        assert len(jobs) == 2 * 2 * 2 * 3
-        tags = {
-            (t["dfg_type"], t["rate_gbps"], t["policy"], t["graph_index"])
-            for t in (job.tag for job in jobs)
-        }
-        assert len(tags) == len(jobs)
-
-    def test_seed_enters_hash(self):
-        base = SweepSpec(policies=(PolicySpec.of("met"),), n_graphs=1)
-        a = SweepSpec(**{**base.__dict__, "seeds": (1,)}).expand()
-        b = SweepSpec(**{**base.__dict__, "seeds": (2,)}).expand()
-        assert a[0].content_hash() != b[0].content_hash()
-
-
 class TestRunnerIntegration:
     @pytest.fixture(scope="class")
     def suite(self):
@@ -294,11 +272,11 @@ class TestRunnerIntegration:
     def test_runner_warm_cache_rerun_simulates_nothing(self, suite, tmp_path):
         first = ExperimentRunner(cache_dir=tmp_path)
         first.run_suite(suite, "met")
-        assert first.engine.stats.simulated == len(suite)
+        assert first.engine.simulated == len(suite)
 
         rerun = ExperimentRunner(cache_dir=tmp_path)
         records = rerun.run_suite(suite, "met")
-        assert rerun.engine.stats.simulated == 0
+        assert rerun.engine.simulated == 0
         assert [r.makespan for r in records] == [
             r.makespan for r in first.run_suite(suite, "met")
         ]
@@ -327,7 +305,7 @@ class TestRunnerIntegration:
         # a second runner *without* the overhead reads the same cache entry
         plain = ExperimentRunner(cache_dir=tmp_path)
         b = plain.run_one(0, suite[0], "heft", 4.0)
-        assert plain.engine.stats.simulated == 0
+        assert plain.engine.simulated == 0
         assert a.makespan == pytest.approx(b.makespan + 10.0 * len(suite[0]))
 
 
@@ -399,7 +377,7 @@ class TestOpenSystemPayload:
         assert first.n_applications == 4
         warm = SweepEngine(cache_dir=tmp_path)
         again = warm.run_jobs([job])[0]
-        assert warm.stats.simulated == 0
+        assert warm.simulated == 0
         assert again == first
 
 
@@ -457,92 +435,3 @@ class TestConcurrentCacheWriters:
         for _ in range(3):
             cache.put("k", {"v": 1})
         assert cache.stats() == {"puts": 3, "entries": 1}
-
-
-# ----------------------------------------------------------------------
-# progress + cancellation hooks on the sweep seam
-# ----------------------------------------------------------------------
-class TestProgressAndCancel:
-    def jobs_of(self, lookup, system, n=3):
-        return [
-            job_of(lookup, system, name=f"g{i}", tag={"i": i}) for i in range(n)
-        ]
-
-    def test_progress_reports_every_job(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        seen = []
-        engine.run_jobs(
-            self.jobs_of(lookup, system), progress=lambda d, t: seen.append((d, t))
-        )
-        assert seen == [(1, 3), (2, 3), (3, 3)]
-
-    def test_progress_counts_cache_hits_in_one_step(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        jobs = self.jobs_of(lookup, system)
-        engine.run_jobs(jobs)
-        seen = []
-        engine.run_jobs(jobs, progress=lambda d, t: seen.append((d, t)))
-        assert seen == [(3, 3)]
-
-    def test_cancel_before_start_raises_immediately(self, lookup, system):
-        from repro.experiments.sweep import SweepCancelled
-
-        engine = SweepEngine(workers=1)
-        with pytest.raises(SweepCancelled) as exc:
-            engine.run_jobs(self.jobs_of(lookup, system), cancel=lambda: True)
-        assert exc.value.done == 0
-        assert exc.value.total == 3
-        assert engine.stats.simulated == 0
-
-    def test_cancel_mid_sweep_keeps_partial_results_cached(
-        self, lookup, system, tmp_path
-    ):
-        from repro.experiments.sweep import SweepCancelled
-
-        engine = SweepEngine(workers=1, cache_dir=tmp_path)
-        jobs = self.jobs_of(lookup, system)
-        fired = {"count": 0}
-
-        def cancel_after_one():
-            fired["count"] += 1
-            return fired["count"] > 1  # first poll passes, second cancels
-
-        with pytest.raises(SweepCancelled) as exc:
-            engine.run_jobs(jobs, cancel=cancel_after_one)
-        assert 0 < exc.value.done < 3
-        assert len(exc.value.partial) == exc.value.done
-        # the finished prefix is cached: a fresh engine resumes, not restarts
-        resumed = SweepEngine(workers=1, cache_dir=tmp_path)
-        results = resumed.run_jobs(jobs)
-        assert len(results) == 3
-        assert resumed.stats.disk_hits == exc.value.done
-        assert resumed.stats.simulated == 3 - exc.value.done
-
-    def test_pool_cancel_terminates_batch(self, lookup, system, tmp_path):
-        from repro.experiments.sweep import ProcessPoolExecutor, SweepCancelled
-
-        executor = ProcessPoolExecutor(workers=2)
-        payloads = [
-            job.runnable_payload() for job in self.jobs_of(lookup, system, n=4)
-        ]
-        fired = {"count": 0}
-
-        def cancel_after_first():
-            # poll 1 is the pre-dispatch check; poll 2 follows the first
-            # completed payload
-            fired["count"] += 1
-            return fired["count"] >= 2
-
-        with pytest.raises(SweepCancelled) as exc:
-            executor.run(payloads, cancel=cancel_after_first)
-        assert 1 <= exc.value.done < 4
-        assert len(exc.value.partial) == exc.value.done
-
-    def test_serial_matches_cancel_free_run(self, lookup, system):
-        engine = SweepEngine(workers=1)
-        jobs = self.jobs_of(lookup, system)
-        plain = engine.run_jobs(jobs)
-        hooked = SweepEngine(workers=1).run_jobs(
-            jobs, progress=lambda d, t: None, cancel=lambda: False
-        )
-        assert hooked == plain
